@@ -1,0 +1,188 @@
+"""Golden CLI corpus: exact stdout bytes and exit codes of fixed invocations.
+
+Each case stores the SHA-256 of everything ``critorbit.cli.main`` writes to
+stdout plus its exit code.  The hashes were recorded before the orbit kernel
+was merged, so a refactor that changes any payload byte (key order, number
+formatting, an answer) fails here.  Together the cases cover all 18
+subcommands, exit codes 0, 1 and 2, ``density --csv``, ``certify --check``
+and rational parameters.
+
+Exit code 3 (``exhausted``) is not covered: the only CLI path that raises
+``SearchExhaustedError`` is the automatic prime search of ``construct``,
+which scans primes up to 10^6 before giving up, and no cheap input reaches
+that bound.
+
+To re-record after an intended payload change, print
+``_sha(stdout)`` for each case and update the table; say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from critorbit.cli import main
+
+SPEC = {
+    "d": 2,
+    "constraints": [
+        {"n": 2, "primes": [{"p": "3", "k": 2}]},
+        {"n": 3, "primes": [{"p": "5", "k": 1}]},
+    ],
+    "exclude_primes": [],
+}
+
+
+def _entry(n, p, valuation):
+    return {
+        "checks": {
+            "prime_coprime_to_degree": True,
+            "primitive": True,
+            "valuation_coprime_to_degree": True,
+        },
+        "n": n,
+        "p": str(p),
+        "valid": True,
+        "valuation": valuation,
+    }
+
+
+# the certificate `certify --d 2 --c 5 --m 3` prints, and a tampered copy
+CERT = {
+    "d": 2,
+    "c": "5",
+    "m": 3,
+    "entries": [_entry(1, 5, 1), _entry(2, 3, 1), _entry(3, 181, 1)],
+    "missing": [],
+    "neg_c_is_square": False,
+}
+TAMPERED = dict(CERT, entries=[_entry(1, 5, 1), _entry(2, 3, 3), _entry(3, 181, 1)])
+
+FILES = {
+    "spec": SPEC,
+    "cert": CERT,
+    "tampered": TAMPERED,
+    "witnesses": {"1": "5", "2": "3"},
+}
+
+# (id, argv, exit code, sha256 of stdout); {name} is the file name.json from FILES
+CASES = [
+    ("orbit-periodic", "orbit --d 2 --p 5 --t 3 --c 1", 0,
+     "1704743a0feb9b900d7be96ee9bd50045bda331f70797b98ca6fc87edb60b672"),
+    ("orbit-preperiodic", "orbit --d 3 --p 7 --t 2 --c 2", 0,
+     "f3c11979ae0275bef7983c3895e613e6278ad2f9773962af2e1b7f474902e7e1"),
+    ("orbit-deep", "orbit --d 2 --p 5 --t 6 --c 1", 0,
+     "3feb35d2f12e5a786a740d878892632300f22ac4645e1733f0089f1cf5d58507"),
+    ("orbit-not-prime", "orbit --d 2 --p 6 --c 1", 2,
+     "b7db03591ecd5bf8d76ad3dc60b1e1f73ee7e26b5ad868e030d49155ec5a353a"),
+    ("valuation-square", "valuation --d 2 --c -9 --n 3 --p 5", 0,
+     "937845ef1974003721a302ef6c88cc983ed3e02154d1b50d5c669355f815d532"),
+    ("valuation-rational", "valuation --d 2 --c 1/3 --n 2 --p 13", 0,
+     "dbf5080c7a5b218e420527b5cb5fae63442d18454401e011d4d58fef09b61035"),
+    ("valuation-capped", "valuation --d 2 --c 0 --n 3 --p 5 --cap 64", 0,
+     "55955bf4e3621100bbaee7f225dc6a5dd8ffc04cd0ab66467184069251184ab7"),
+    ("primitive-integer", "primitive --d 2 --c 1 --n 3 --p 5", 0,
+     "38dd44ccc9d3391ac47108ca3d8b9d5dd95471ec7447cf0004a1c8fcb157378a"),
+    ("primitive-rational", "primitive --d 3 --c 2/3 --n 3 --p 7", 0,
+     "9d181f67830a2f2be7adbfe188e094f45c42eefa3f8630863a852db701ea29d8"),
+    ("primitive-denominator", "primitive --d 2 --c 1/5 --n 2 --p 5", 2,
+     "b10fb0c9f9e12dba4cda0c264de6a81ba96ed138667c6af578cf11ca293edfd1"),
+    ("primitive-zero-iterate", "primitive --d 2 --c 0 --n 3 --p 5", 2,
+     "361b006ead95c0e4b86c735dfea038a2610e051e1d8b114a19f08d1feca593b0"),
+    ("gleason", "gleason --d 2 --n 4", 0,
+     "7b71c87b21c9a805570722534ae4bf9c9437c85b6dd42cad1e57acf3a4964f8d"),
+    ("disc", "disc --d 3 --n 3", 0,
+     "2cad71a7c1361c9e4c0780736d3f05a86cdae627379aedf08b0f67f60e80bf0f"),
+    ("roots", "--seed 7 roots --d 2 --n 3 --p 23", 0,
+     "3367cb41442cd299404edc04c88c875258a89d24cd50daa0878293dd954b03d4"),
+    ("lift", "lift --d 2 --n 3 --p 5 --c0 1 --precision 12", 0,
+     "a2b29bb90c6e8275658114e5c5b830f9f6e16149f1689c0a47e404729cdf0277"),
+    ("lift-obstruction", "lift --d 2 --n 5 --p 13 --c0 3 --precision 2", 2,
+     "43ebfb61c45d42b6da0410ae41d2284460b6fba46ee226f87c5dd81537bfc922"),
+    ("adjust", "adjust --d 2 --n 3 --p 5 --c0 1 --r 4", 0,
+     "be9a220ddbb99417ad5ef6a5dffdcf0b86b18c3667c8bdacd15a16f545ad55e8"),
+    ("construct", "construct --spec {spec}", 0,
+     "d442bc346f5f1725d6ca0cf23629fe70a3d7ef131a577f714c51320b033b4dc6"),
+    ("verify-ok", "verify --d 2 --c 521 --spec {spec}", 0,
+     "bb2328974f29ab92606868905a94a809e58d411dcb08f9e23c4e812e0f43cfda"),
+    ("verify-failed", "verify --d 2 --c 1 --spec {spec}", 1,
+     "6aeaf54d1b8e033bfb436cfc75e6b1773411ffb29249513b84b4b6cadb1de2e7"),
+    ("pcf", "pcf --d 3 --p 13", 0,
+     "47727def08f61521c7e35ba5eaca6c10fdc49b8098342cb70b9a4b94576df8cc"),
+    ("pcf-permutation", "pcf --d 3 --p 101", 0,
+     "adc9e49a5928345da70076be4727d98291cc9abf4710762bcf9a2db609e8e197"),
+    ("condition-star-star", "condition --d 2 --p 13", 0,
+     "fff9e8d9ac376deee8196f4edeb983f7a647e76238601916b1f03bac5f1464b3"),
+    ("condition-bounded", "condition --d 2 --p 23 --max-period 4", 0,
+     "4b77a367d1511a5b643e22c9a06eef9a1f7d17fff09bf0f7b8486aacf9d18bc2"),
+    ("condition-star", "condition --d 2 --p 13 --n 5", 0,
+     "6e58eeb5b387745111327d60cb5ca5fd4dc5cf7af394ea3f2b491e5d51d1372b"),
+    ("correspond", "correspond --d 2 --p 13 --precision 5", 0,
+     "caca001be11cc702c7349a9790073f3c6053ff4c99fb86bd89b5ce7434cc33f9"),
+    ("correspond-cubic", "correspond --d 3 --p 11 --precision 8", 0,
+     "344de677a79ed7283d311b4d115c37fcb75ebc2278d909d5af792e763ef7decb"),
+    ("density-json", "density --d 2 --n 3 --limit 300", 0,
+     "994fe6d675afa9aebb2dfb0a4680f5e9f1d9b6e05eb856174011273b76761e03"),
+    ("density-csv", "density --d 3 --n 2 --limit 120 --csv", 0,
+     "f1d8249364d18d700fe2f5d4470a8d3804170ba31e85eb8682219a0ed2e3434f"),
+    ("bound-rational", "bound --d 2 --n 4 --c=-3/2", 0,
+     "418925bfe8e0e7d41272bbdc7177be32042036726217950a60597ed8cafbdbf1"),
+    ("bound-pcf", "bound --d 2 --n 3 --c 0", 2,
+     "f0d1aaae7210859ccb01a080240f98cfa96609e29cfa823b413e33a764945a06"),
+    ("rho-integer", "rho --d 2 --c 1 --n 5", 0,
+     "31ecc13b66c3617dd03bc95ed16bef15a99be51d1f09485c4f5c8b1e02dab41e"),
+    ("rho-rational", "rho --d 2 --c 1/2 --n 4", 0,
+     "66aa04f40a20e4491d56354354cca9c6bc055875a40c279346f4b8bfe283fcc8"),
+    ("certify", "certify --d 2 --c 5 --m 3", 0,
+     "b145a67c6584f65618c597e0a7a4445eb4b68afd0fece297d8dd7257cb2c2a8f"),
+    ("certify-witnesses", "certify --d 2 --c 5 --m 2 --witnesses {witnesses}", 0,
+     "340f995937565c2730fdd7d0df51a65bbbc4a6cf425eeb8846747c4661c7f734"),
+    ("certify-incomplete", "certify --d 2 --c 4 --m 1 --budget 20", 1,
+     "16ca3080630e8b880fb4013d8d99232358d92f09e651d7da797b555394e7ba3e"),
+    ("certify-missing-args", "certify --d 2", 2,
+     "1be7a6ac09f8bb54dee76ad8b2a63d2aab116be20a5a13bace0596442e194f69"),
+    ("certify-check", "certify --check {cert}", 0,
+     "3ee2cf8f92b4a286f579c748eba6922edd9f2cbb4629b57932c5ad67f80b1621"),
+    ("certify-check-tampered", "certify --check {tampered}", 1,
+     "86cf5abd43e4654468f241390627dfb5d76eb8a23355c97493d63391c67388ef"),
+    ("factor", "factor --x 600851475143", 0,
+     "159c5c8e15ffc404dceeb043bec2b1f87a35992b60b5961e01924d50bb61cc8d"),
+    ("factor-malformed", "factor --x 12a", 2,
+     "468a178842c9e7ba0c017ef4e198e16c570e736444f560e4e0d6c22093ae5abd"),
+]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _argv(command: str, tmp_path) -> list[str]:
+    paths = {name: str(tmp_path / f"{name}.json") for name in FILES}
+    return [word.format(**paths) for word in command.split()]
+
+
+@pytest.fixture
+def corpus_dir(tmp_path):
+    for name, doc in FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "command,code,digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+)
+def test_golden_output(command, code, digest, corpus_dir, capsys):
+    got_code = main(_argv(command, corpus_dir))
+    out = capsys.readouterr().out
+    assert (got_code, _sha(out)) == (code, digest)
+
+
+def test_corpus_covers_every_subcommand_and_exit_code():
+    from critorbit.cli import build_parser
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    used = {next(w for w in c[1].split() if not w.startswith("-") and not w.isdigit())
+            for c in CASES}
+    assert used == set(subparsers.choices)
+    assert {c[2] for c in CASES} == {0, 1, 2}

@@ -236,7 +236,7 @@ class MaximalityCertificate:
                 missing=tuple(int(n) for n in doc.get("missing", [])),
                 neg_c_is_square=doc.get("neg_c_is_square"),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from exc
 
 
@@ -274,10 +274,7 @@ def _search_witness(
     p = 2
     for _ in range(scan_budget):
         if d % p != 0:
-            try:
-                entry = _entry_for(d, c, n, p)
-            except ZeroIterateError:
-                raise
+            entry = _entry_for(d, c, n, p)
             if entry.valid:
                 return entry
         p = next_prime(p)

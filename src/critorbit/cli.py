@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 
 from . import __version__
@@ -191,13 +192,12 @@ def _cmd_condition(args) -> tuple[str, dict]:
             "condition_star": ok,
             "failures": [str(w) for w in witnesses],
         }
-    ok = check_condition_star_star(args.d, args.p, max_period=args.max_period)
     failures = condition_star_star_failures(args.d, args.p, max_period=args.max_period)
     return OK, {
         "d": args.d,
         "p": str(args.p),
         "max_period": args.max_period,
-        "condition_star_star": ok,
+        "condition_star_star": not failures,
         "failures": [{"c": str(c), "period": n} for c, n in failures],
     }
 
@@ -207,13 +207,10 @@ def _cmd_correspond(args) -> tuple[str, dict]:
     return OK, report.to_json_dict()
 
 
-def _cmd_density(args) -> tuple[str, dict] | None:
+def _cmd_density(args) -> tuple[str, dict | str]:
     if args.csv:
         rows = density_scan_rows(args.d, args.n, args.limit)
-        sys.stdout.write("p,has_root\n")
-        for p, flag in rows:
-            sys.stdout.write(f"{p},{int(flag)}\n")
-        return None
+        return OK, "p,has_root\n" + "".join(f"{p},{int(flag)}\n" for p, flag in rows)
     report = density_report(args.d, args.n, args.limit, jobs=args.threads)
     return OK, report.to_json_dict()
 
@@ -253,7 +250,10 @@ def _cmd_certify(args) -> tuple[str, dict]:
     if args.witnesses:
         with open(args.witnesses, encoding="utf-8") as handle:
             raw = json.load(handle)
-        witnesses = {int(n): int(p) for n, p in raw.items()}
+        try:
+            witnesses = {int(n): int(p) for n, p in raw.items()}
+        except (AttributeError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed witnesses file: {exc}") from exc
     cert = maximality_certificate(
         args.d, _parse_int(args.c), args.m, witnesses=witnesses,
         scan_budget=args.budget,
@@ -409,8 +409,6 @@ def main(argv: list[str] | None = None) -> int:
         outcome = (EXHAUSTED, {"error": str(exc), "bound": exc.bound})
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         outcome = (INVALID_INPUT, {"error": str(exc)})
-    if outcome is None:  # CSV mode wrote raw rows already
-        return 0
     status, payload = outcome
     doc = {"status": status, "payload": payload}
     if args.meta:
@@ -418,8 +416,19 @@ def main(argv: list[str] | None = None) -> int:
             "version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
-    json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    try:
+        if isinstance(payload, str):  # CSV rows, printed as they are
+            sys.stdout.write(payload)
+        else:
+            json.dump(doc, sys.stdout, sort_keys=True, indent=2)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`); point stdout at devnull
+        # so the interpreter's exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return _EXIT_CODES[status]
 
 

@@ -25,12 +25,17 @@ from .errors import (
     PrimeNotAdmissibleError,
     SearchExhaustedError,
 )
-from .gleason import gleason_degree, gleason_discriminant, gleason_poly, roots_mod_p
+from .gleason import (
+    _GLEASON_FEASIBLE_DEGREE,
+    gleason_degree,
+    gleason_discriminant,
+    gleason_poly,
+    roots_mod_p,
+)
 from .lifting import adjust_power, hensel_lift
 from .orbit import is_primitive_divisor, orbit_with_derivative, period_type_mod
 
 _PRIME_SCAN_CEILING = 10**6
-_GLEASON_FEASIBLE_DEGREE = 2048  # polynomial construction / root finding
 _DISC_FEASIBLE_DEGREE = 128  # exact integer discriminants get slow beyond
 
 
@@ -86,7 +91,7 @@ class DivisibilitySpec:
                         )
                     )
             excluded = frozenset(int(x) for x in doc.get("exclude_primes", []))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed divisibility spec: {exc}") from exc
         return cls(d=d, constraints=tuple(constraints), excluded_primes=excluded)
 

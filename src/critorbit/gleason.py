@@ -23,6 +23,7 @@ from .errors import InternalConsistencyError, SizeGuardError
 
 _DEGREE_GUARD = 1 << 14
 _BRUTE_ROOT_LIMIT = 10**6
+_GLEASON_FEASIBLE_DEGREE = 2048  # largest Gleason polynomial worth building
 
 
 class IntPoly:

@@ -17,7 +17,10 @@ from dataclasses import dataclass
 from .arith import Residue, is_prime, val_p
 from .errors import HenselHypothesisError, InternalConsistencyError
 from .orbit import (
-    Valuation,
+    RationalParam,
+    _adaptive_valuation,
+    _critical_walk,
+    _iterate_is_exactly_zero,
     is_primitive_divisor,
     iterate_valuation,
     orbit_with_derivative,
@@ -56,18 +59,6 @@ class LiftResult:
         }
 
 
-def _derivative_valuation(d: int, n: int, p: int, c0: int, cap: int) -> Valuation:
-    t = 8
-    while True:
-        t = min(t, cap)
-        _, deriv = orbit_with_derivative(d, Residue.reduce(c0, p, t), n)
-        if deriv.value != 0:
-            return Valuation(val_p(deriv.value, p), True)
-        if t >= cap:
-            return Valuation(cap, False)
-        t *= 2
-
-
 def hensel_lift(d: int, n: int, p: int, c0: int, precision: int) -> LiftResult:
     """Lift c0 to the parameter where 0 has exact period n in Z/p^precision."""
     if d < 2 or n < 1 or precision < 1:
@@ -82,12 +73,14 @@ def hensel_lift(d: int, n: int, p: int, c0: int, precision: int) -> LiftResult:
         )
     cap = 4 * (precision + 8)
     nu_f = iterate_valuation(d, c0, n, p, cap=cap)
-    nu_df = _derivative_valuation(d, n, p, c0, cap)
+    nu_df = _adaptive_valuation(
+        lambda t: orbit_with_derivative(d, Residue.reduce(c0, p, t), n)[1].value, p, cap
+    )
     if not nu_f.exact:
         # f^n(0) vanishes beyond any useful precision; for an integer base in
         # [0, p) this happens only when it vanishes exactly (c0 = 0, n = 1),
         # i.e. c0 is already the p-adic root.
-        if not _is_exact_root(d, c0, n):
+        if not _iterate_is_exactly_zero(d, RationalParam(c0), n):
             raise InternalConsistencyError(
                 f"nu_p(f^{n}(0)) >= {nu_f.value} at c0 = {c0} without an exact zero; "
                 "raise the valuation cap"
@@ -132,13 +125,11 @@ def hensel_lift(d: int, n: int, p: int, c0: int, precision: int) -> LiftResult:
         raise InternalConsistencyError(
             "lift shift does not match nu(F) - nu(F'); shift identity hypotheses fail"
         )
-    x = 0
-    for i in range(1, n):
-        x = (pow(x, d, p) + lifted.value) % p
-        if x == 0:
-            raise InternalConsistencyError(
-                f"lifted parameter lost primitivity: f^{i}(0) = 0 mod {p}"
-            )
+    _, first_zero = _critical_walk(d, lifted.value, p, n - 1)
+    if first_zero is not None:
+        raise InternalConsistencyError(
+            f"lifted parameter lost primitivity: f^{first_zero}(0) = 0 mod {p}"
+        )
     return LiftResult(
         d=d,
         n=n,
@@ -150,15 +141,6 @@ def hensel_lift(d: int, n: int, p: int, c0: int, precision: int) -> LiftResult:
         nu_derivative=nu_df.value,
         base_c0=c0,
     )
-
-
-def _is_exact_root(d: int, c0: int, n: int) -> bool:
-    # exact vanishing of f^n(0) over Z for an integer parameter
-    if c0 == 0:
-        return True
-    if c0 == -1 and d % 2 == 0 and n % 2 == 0:
-        return True
-    return False
 
 
 def adjust_power(lift: LiftResult, r: int) -> int:
@@ -193,7 +175,6 @@ def adjust_power(lift: LiftResult, r: int) -> int:
 def scan_shifts(d: int, n: int, p: int, c0: int) -> list[int]:
     """Exhaustive check of the lift obstruction: values f^n(0) mod p^2 at the
     p candidate shifts c0 + t*p.  All nonzero means no shift lifts to p^2."""
-    modulus = p * p
     out = []
     for t in range(p):
         value, _ = orbit_with_derivative(d, Residue.reduce(c0 + t * p, p, 2), n)

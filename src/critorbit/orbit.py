@@ -5,10 +5,11 @@ eventually periodic, and the period type (tail, period) of that orbit is the
 basic observable everything else is built on.  For rational parameters
 c = a/b the iterates are a_n / b^(d^(n-1)) where the integer numerators obey
 
-    a_1 = a,   a_{i+1} = a_i^d + a * b^(d^i - 1),
+    a_1 = a,   a_{i+1} = a_i^d + a * b^(d^i - 1).
 
-so valuations at primes not dividing b reduce to modular orbits of that
-recurrence.
+For p not dividing b, a_n = b^(d^(n-1)) * f^n(0) with b a unit mod p^t, so
+the orbit of 0 under x^d + a * b^-1 in Z/p^t has the zero pattern and the
+valuations of the a_n.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .arith import Residue, is_prime
+from .arith import Residue, is_prime, val_p
 from .errors import SizeGuardError, ZeroIterateError
 
 _HASH_ORBIT_LIMIT = 10**6  # switch to Brent cycle detection beyond this
@@ -53,7 +54,10 @@ class RationalParam:
 
     @classmethod
     def from_string(cls, text: str) -> "RationalParam":
-        frac = Fraction(text.strip())
+        try:
+            frac = Fraction(text.strip())
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
         return cls(frac.numerator, frac.denominator)
 
     @classmethod
@@ -102,28 +106,34 @@ def _step(x: int, d: int, c: int, modulus: int) -> int:
     return (pow(x, d, modulus) + c) % modulus
 
 
-def _orbit_period_ints(d: int, c: int, modulus: int) -> tuple[int, int, int]:
-    """Minimal (tail, period) of 0 under x -> x^d + c in Z/modulus, plus the
-    first point on the cycle.  Hash-map detection while the visited count is
-    small; Brent's algorithm (constant memory) beyond."""
+def _orbit_period_ints(
+    d: int, c: int, modulus: int, start: int = 0
+) -> tuple[int, int, int]:
+    """Minimal (tail, period) of ``start`` under x -> x^d + c in Z/modulus, plus
+    the first point on the cycle.  Hash-map detection while the visited count
+    is small; Brent's algorithm (constant memory) beyond."""
     seen: dict[int, int] = {}
-    x = 0
+    x = start % modulus
     i = 0
     while x not in seen:
         if i >= _HASH_ORBIT_LIMIT:
-            return _orbit_period_brent(d, c, modulus)
+            return _orbit_period_brent(d, c, modulus, start)
         seen[x] = i
-        x = _step(x, d, c, modulus)
+        # d = 2 stepped inline: this loop is the census's inner loop
+        x = (x * x + c) % modulus if d == 2 else (pow(x, d, modulus) + c) % modulus
         i += 1
-    # the first revisited value is the cycle entry f^tail(0)
+    # the first revisited value is the cycle entry f^tail(start)
     tail = seen[x]
     return tail, i - tail, x
 
 
-def _orbit_period_brent(d: int, c: int, modulus: int) -> tuple[int, int, int]:
+def _orbit_period_brent(
+    d: int, c: int, modulus: int, start: int = 0
+) -> tuple[int, int, int]:
+    x0 = start % modulus
     power = period = 1
-    tortoise = 0
-    hare = _step(0, d, c, modulus)
+    tortoise = x0
+    hare = _step(x0, d, c, modulus)
     while tortoise != hare:
         if power == period:
             tortoise = hare
@@ -131,7 +141,7 @@ def _orbit_period_brent(d: int, c: int, modulus: int) -> tuple[int, int, int]:
             period = 0
         hare = _step(hare, d, c, modulus)
         period += 1
-    tortoise = hare = 0
+    tortoise = hare = x0
     for _ in range(period):
         hare = _step(hare, d, c, modulus)
     tail = 0
@@ -140,6 +150,23 @@ def _orbit_period_brent(d: int, c: int, modulus: int) -> tuple[int, int, int]:
         hare = _step(hare, d, c, modulus)
         tail += 1
     return tail, period, tortoise
+
+
+def _critical_walk(d: int, c: int, modulus: int, n: int) -> tuple[int, int | None]:
+    """f^n(0) in Z/modulus and the first i <= n with f^i(0) = 0 (None if there
+    is none), in n steps and constant memory."""
+    x = 0
+    first_zero = None
+    for i in range(1, n + 1):
+        x = (pow(x, d, modulus) + c) % modulus
+        if x == 0 and first_zero is None:
+            first_zero = i
+    return x, first_zero
+
+
+def _reduced_param(param: RationalParam, modulus: int) -> int:
+    """c = a/b as a * b^-1 in Z/modulus; b must be a unit there."""
+    return param.a * pow(param.b, -1, modulus) % modulus
 
 
 def period_type_mod(d: int, c: Residue) -> tuple[PeriodType, int]:
@@ -154,29 +181,8 @@ def point_period_type_mod(d: int, c: Residue, start: int) -> tuple[PeriodType, i
     """Period type of an arbitrary starting point in Z/p^t, plus the cycle entry."""
     if d < 2:
         raise ValueError("degree must be >= 2")
-    modulus = c.modulus
-    seen: dict[int, int] = {}
-    x = start % modulus
-    i = 0
-    while x not in seen:
-        seen[x] = i
-        x = _step(x, d, c.value, modulus)
-        i += 1
-    tail = seen[x]
-    return PeriodType(tail, i - tail), x
-
-
-def _an_mod(d: int, a: int, b: int, n: int, modulus: int) -> list[int]:
-    """The numerators a_1..a_n of the critical orbit of c = a/b, mod modulus."""
-    values = []
-    x = a % modulus
-    values.append(x)
-    exponent = d  # d^i for i = 1 at the first loop turn
-    for _ in range(n - 1):
-        x = (pow(x, d, modulus) + a * pow(b, exponent - 1, modulus)) % modulus
-        values.append(x)
-        exponent *= d
-    return values
+    tail, period, entry = _orbit_period_ints(d, c.value, c.modulus, start)
+    return PeriodType(tail, period), entry
 
 
 class Valuation(NamedTuple):
@@ -201,16 +207,23 @@ def iterate_valuation(
         raise ValueError(f"{p} is not prime")
     if param.b % p == 0:
         raise ValueError("p divides the denominator; no numerator valuation at p")
+    return _adaptive_valuation(
+        lambda t: _critical_walk(d, _reduced_param(param, p**t), p**t, n)[0], p, cap
+    )
+
+
+def _adaptive_valuation(value_mod, p: int, cap: int) -> Valuation:
+    """nu_p of a value given by its residue ``value_mod(t)`` mod p^t for any t.
+
+    Starts at t = 8 and doubles t until the value is nonzero mod p^t; at the
+    cap the result is the flag "at least cap".
+    """
     t = 8
     while True:
         t = min(t, cap)
-        an = _an_mod(d, param.a, param.b, n, p**t)[-1]
-        if an != 0:
-            v = 0
-            while an % p == 0:
-                an //= p
-                v += 1
-            return Valuation(v, True)
+        value = value_mod(t)
+        if value != 0:
+            return Valuation(val_p(value, p), True)
         if t >= cap:
             return Valuation(cap, False)
         t *= 2
@@ -228,12 +241,11 @@ def is_primitive_divisor(d: int, c, n: int, p: int) -> tuple[bool, int]:
         raise ValueError("p divides the denominator of c")
     if _iterate_is_exactly_zero(d, param, n):
         raise ZeroIterateError(f"f^{n}(0) = 0 for c = {param} (PCF collision)")
-    values = _an_mod(d, param.a, param.b, n, p)
-    if values[-1] != 0:
+    an, first_zero = _critical_walk(d, _reduced_param(param, p), p, n)
+    if an != 0:
         return False, 0
-    primitive = all(v != 0 for v in values[:-1])
     nu = iterate_valuation(d, param, n, p)
-    return primitive, nu.value
+    return first_zero == n, nu.value
 
 
 def _iterate_is_exactly_zero(d: int, param: RationalParam, n: int) -> bool:
@@ -291,16 +303,7 @@ def multiplier_mod_p(d: int, c: int, r: int, p: int) -> tuple[PeriodType, int]:
     lambda = d^period * prod f^(tail+i)(r)^(d-1) mod p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    seen: dict[int, int] = {}
-    x = r % p
-    i = 0
-    while x not in seen:
-        seen[x] = i
-        x = _step(x, d, c, p)
-        i += 1
-    tail = seen[x]
-    period = i - tail
-    entry = next(v for v, idx in seen.items() if idx == tail)
+    tail, period, entry = _orbit_period_ints(d, c, p, r)
     lam = pow(d, period, p)
     y = entry
     for _ in range(period):

@@ -9,15 +9,19 @@ periodic parameter is a simple root of its orbit-value polynomial.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .arith import Residue, is_prime
 from .errors import HenselHypothesisError
-from .gleason import discriminant_mod_p, gleason_degree, gleason_poly
+from .gleason import (
+    _GLEASON_FEASIBLE_DEGREE,
+    discriminant_mod_p,
+    gleason_degree,
+    gleason_poly,
+)
 from .lifting import LiftResult, hensel_lift
 from .orbit import PeriodType, orbit_with_derivative, period_type_mod
-
-_GLEASON_FEASIBLE_DEGREE = 2048
 
 
 @dataclass
@@ -94,29 +98,27 @@ def check_condition_star_star(
     them (the mathematically complete check).  A bounded check reproduces
     survey computations that only examined small periods.
     """
-    census = enumerate_pcf(d, p)
-    for c, ptype in census.periodic.items():
-        if max_period is not None and ptype.period > max_period:
-            continue
-        _, deriv = orbit_with_derivative(d, Residue(p, 1, c), ptype.period)
-        if deriv.value % p == 0:
-            return False
-    return True
+    return next(_star_star_failures(enumerate_pcf(d, p), max_period), None) is None
 
 
 def condition_star_star_failures(
     d: int, p: int, max_period: int | None = None
 ) -> list[tuple[int, int]]:
     """The (c, period) witnesses violating the simple-root condition at p."""
-    census = enumerate_pcf(d, p)
-    out = []
+    return list(_star_star_failures(enumerate_pcf(d, p), max_period))
+
+
+def _star_star_failures(
+    census: PcfCensus, max_period: int | None
+) -> Iterator[tuple[int, int]]:
+    # lazy, so a yes/no check stops at the first failure
+    p = census.p
     for c, ptype in sorted(census.periodic.items()):
         if max_period is not None and ptype.period > max_period:
             continue
-        _, deriv = orbit_with_derivative(d, Residue(p, 1, c), ptype.period)
+        _, deriv = orbit_with_derivative(census.d, Residue(p, 1, c), ptype.period)
         if deriv.value % p == 0:
-            out.append((c, ptype.period))
-    return out
+            yield c, ptype.period
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ def correspondence_report(d: int, p: int, precision: int) -> CorrespondenceRepor
     """
     census = enumerate_pcf(d, p)
     periods = census.observed_periods()
-    star_star = check_condition_star_star(d, p)
+    star_star = next(_star_star_failures(census, None), None) is None
     disc_clean = _disc_clean_for_all_observed(d, p, periods)
     guaranteed = p > d and (star_star or disc_clean)
     if p <= d:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from critorbit import DivisibilitySpec, MaximalityCertificate
 from critorbit.cli import main
 from test_acceptance import C29
 from test_bounds import published_valid_entries
@@ -269,3 +275,124 @@ class TestOutputStability:
         )
         assert code == 0
         assert doc["payload"]["roots"] == [{"root": "6", "multiplicity": 1}]
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pcf", "--d", "2", "--p", "2753"],
+            ["density", "--d", "2", "--n", "2", "--limit", "120000", "--csv"],
+        ],
+        ids=["json", "csv"],
+    )
+    def test_reader_closing_early_gets_no_traceback(self, argv):
+        # both outputs (about 150 kB and 90 kB) overflow a 64 kB pipe buffer,
+        # so the CLI is still writing when the reader closes its end
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "critorbit.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert len(head) == 100
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_INT = st.integers(-3, 50) | st.text("0123456789", min_size=1, max_size=2)
+
+
+def _mostly(strategy):
+    # the expected shape three times in four, any JSON value otherwise
+    return st.integers(0, 3).flatmap(lambda i: strategy if i else _ANY)
+
+
+def _shaped(fields, **optional):
+    return _mostly(st.fixed_dictionaries(fields, optional=optional))
+
+
+def _list_of(strategy):
+    return _mostly(st.lists(strategy, min_size=1, max_size=3))
+
+
+_NUMBER = _mostly(_INT)
+
+
+_SPECS = _shaped(
+    {
+        "d": _NUMBER,
+        "constraints": _list_of(
+            _shaped({"n": _NUMBER, "primes": _list_of(_shaped({"k": _NUMBER}, p=_NUMBER))})
+        ),
+    },
+    exclude_primes=_list_of(_NUMBER),
+)
+_CERTIFICATES = _shaped(
+    {
+        "d": _NUMBER,
+        "c": _NUMBER,
+        "m": _NUMBER,
+        "entries": _list_of(_shaped({
+            "n": _NUMBER,
+            "p": _NUMBER,
+            "valuation": _NUMBER,
+            "checks": _shaped({
+                "primitive": _ANY,
+                "valuation_coprime_to_degree": _ANY,
+                "prime_coprime_to_degree": _ANY,
+            }),
+        })),
+    },
+    missing=_list_of(_NUMBER),
+    neg_c_is_square=_ANY,
+)
+
+
+class TestInputMapping:
+    @pytest.mark.parametrize("command", ["valuation", "primitive", "bound", "rho"])
+    def test_zero_denominator_is_invalid_input(self, capsys, command):
+        extra = ["--p", "5"] if command in ("valuation", "primitive") else []
+        code, doc = run_json(capsys, command, "--d", "2", "--c", "1/0", "--n", "3", *extra)
+        assert code == 2
+        assert doc["status"] == "invalid-input"
+        assert "zero denominator" in doc["payload"]["error"]
+
+    def test_spec_with_string_primes_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"d": 2, "constraints": [{"n": 2, "primes": ["3"]}]}))
+        code, doc = run_json(capsys, "construct", "--spec", str(path))
+        assert code == 2
+        assert "malformed divisibility spec" in doc["payload"]["error"]
+
+    def test_witnesses_file_that_is_not_a_map_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "wit.json"
+        path.write_text(json.dumps([5, 3]))
+        code, doc = run_json(
+            capsys, "certify", "--d", "2", "--c", "5", "--m", "2", "--witnesses", str(path)
+        )
+        assert code == 2
+        assert "malformed witnesses file" in doc["payload"]["error"]
+
+    @given(spec=_SPECS, cert=_CERTIFICATES)
+    @example(spec={"d": float("inf")}, cert={"d": float("inf"), "entries": []})
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_json_raises_only_value_error(self, spec, cert):
+        for parse, doc in (
+            (DivisibilitySpec.from_json_dict, spec),
+            (MaximalityCertificate.from_json_dict, cert),
+        ):
+            try:
+                parse(doc)
+            except ValueError:
+                pass

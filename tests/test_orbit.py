@@ -1,6 +1,9 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from critorbit import (
     Residue,
@@ -17,6 +20,7 @@ from critorbit import (
     point_period_type_mod,
     primes_up_to,
 )
+from critorbit import orbit
 from critorbit.orbit import RationalParam, _orbit_period_brent, _orbit_period_ints
 
 from oracles import orbit_walk
@@ -60,7 +64,36 @@ class TestPeriodTypeMod:
             p = rng.choice([3, 5, 7, 11])
             t = rng.randrange(1, 5)
             c = rng.randrange(p**t)
-            assert _orbit_period_brent(d, c, p**t) == _orbit_period_ints(d, c, p**t)
+            start = rng.choice([0, rng.randrange(p**t)])
+            hashed = _orbit_period_ints(d, c, p**t, start)
+            assert _orbit_period_brent(d, c, p**t, start) == hashed
+            assert hashed[:2] == orbit_walk(d, c, p**t, start)
+
+    def test_long_walks_switch_to_brent(self, monkeypatch):
+        # the walkers from arbitrary starts share the detector's memory bound
+        monkeypatch.setattr(orbit, "_HASH_ORBIT_LIMIT", 3)
+        calls = []
+        brent = orbit._orbit_period_brent
+        monkeypatch.setattr(
+            orbit, "_orbit_period_brent", lambda *args: calls.append(args) or brent(*args)
+        )
+        rng = random.Random(13)
+        long_walks = 0
+        for _ in range(50):
+            d = rng.choice([2, 3])
+            p = rng.choice([11, 13, 101])
+            c, r = rng.randrange(p), rng.randrange(p)
+            tail, period = orbit_walk(d, c, p, r)
+            ptype, entry = point_period_type_mod(d, Residue(p, 1, c), r)
+            assert (ptype.tail, ptype.period) == (tail, period)
+            x = r
+            for _ in range(tail):
+                x = (pow(x, d, p) + c) % p
+            assert entry == x
+            mtype, _ = multiplier_mod_p(d, c, r, p)
+            assert mtype == ptype
+            long_walks += tail + period > 3
+        assert len(calls) == 2 * long_walks > 0
 
 
 class TestIterateValuation:
@@ -114,6 +147,26 @@ class TestIsPrimitiveDivisor:
             is_primitive_divisor(2, 0, 3, 5)
         with pytest.raises(ZeroIterateError):
             is_primitive_divisor(2, -1, 4, 5)
+
+    @given(
+        d=st.sampled_from([2, 3]),
+        a=st.integers(-60, 60),
+        b=st.integers(1, 30),
+        n=st.integers(1, 5),
+        p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rational_parameters_match_exact_numerators(self, d, a, b, n, p):
+        assume(gcd(a, b) == 1 and b % p != 0)
+        c = RationalParam(a, b)
+        numerators = [exact_iterate(d, c, i)[0] for i in range(1, n + 1)]
+        assume(numerators[-1] != 0)
+        nu = 0
+        while numerators[-1] % p ** (nu + 1) == 0:
+            nu += 1
+        primitive = nu > 0 and all(x % p != 0 for x in numerators[:-1])
+        assert iterate_valuation(d, c, n, p) == (nu, True)
+        assert is_primitive_divisor(d, c, n, p) == (primitive, nu)
 
 
 class TestOrbitWithDerivative:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from typing import NamedTuple
 
@@ -64,20 +65,15 @@ class EmpiricalDensity(NamedTuple):
     skipped: tuple[int, ...]  # primes dividing d or the discriminant
 
 
-def _scan_chunk(args: tuple[int, int, list[int]]) -> tuple[int, int, list[int]]:
-    d, n, chunk = args
+def _scan(d: int, n: int, primes: list[int]) -> list[tuple[int, bool | None]]:
+    """(p, has_root) per prime; None where p divides d or the discriminant."""
     poly = gleason_poly(d, n)
     disc = gleason_discriminant(d, n)
-    hits = total = 0
-    skipped = []
-    for p in chunk:
-        if d % p == 0 or disc % p == 0:
-            skipped.append(p)
-            continue
-        total += 1
-        if poly.degree >= 1 and has_root_mod_p(poly, p):
-            hits += 1
-    return hits, total, skipped
+    return [
+        (p, None if d % p == 0 or disc % p == 0
+         else poly.degree >= 1 and has_root_mod_p(poly, p))
+        for p in primes
+    ]
 
 
 def empirical_density(d: int, n: int, limit: int, jobs: int = 1) -> EmpiricalDensity:
@@ -92,33 +88,24 @@ def empirical_density(d: int, n: int, limit: int, jobs: int = 1) -> EmpiricalDen
         raise ValueError("limit must be >= 2")
     primes = primes_up_to(limit)
     if jobs <= 1 or len(primes) < 4 * jobs:
-        hits, total, skipped = _scan_chunk((d, n, primes))
+        rows = _scan(d, n, primes)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         size = -(-len(primes) // jobs)
         chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
-        hits = total = 0
-        skipped = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for h, t, s in pool.map(_scan_chunk, [(d, n, ch) for ch in chunks]):
-                hits += h
-                total += t
-                skipped.extend(s)
+            rows = [row for part in pool.map(partial(_scan, d, n), chunks) for row in part]
+    skipped = tuple(p for p, hit in rows if hit is None)
+    hits = sum(1 for _, hit in rows if hit)
+    total = len(rows) - len(skipped)
     fraction = Fraction(hits, total) if total else Fraction(0)
-    return EmpiricalDensity(limit, hits, total, fraction, tuple(skipped))
+    return EmpiricalDensity(limit, hits, total, fraction, skipped)
 
 
 def density_scan_rows(d: int, n: int, limit: int) -> list[tuple[int, bool]]:
     """Per-prime (p, has_root) rows for external plotting; same skip rule."""
-    poly = gleason_poly(d, n)
-    disc = gleason_discriminant(d, n)
-    rows = []
-    for p in primes_up_to(limit):
-        if d % p == 0 or disc % p == 0:
-            continue
-        rows.append((p, poly.degree >= 1 and has_root_mod_p(poly, p)))
-    return rows
+    return [(p, hit) for p, hit in _scan(d, n, primes_up_to(limit)) if hit is not None]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .arith import _rng, is_prime, moebius
+from .arith import _rng, crt, is_prime, moebius
 from .errors import InternalConsistencyError, SizeGuardError
 
 _DEGREE_GUARD = 1 << 14
@@ -75,15 +75,7 @@ class IntPoly:
         return IntPoly(out)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero or other.is_zero:
-            return IntPoly([])
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return IntPoly(out)
+        return IntPoly(_convolve(self.coeffs, other.coeffs))
 
     def divexact(self, divisor: "IntPoly") -> "IntPoly":
         """Exact division over Z; non-exactness is a fatal internal error."""
@@ -118,10 +110,7 @@ class IntPoly:
         return out
 
     def evaluate_mod(self, x: int, modulus: int) -> int:
-        out = 0
-        for coef in reversed(self.coeffs):
-            out = (out * x + coef) % modulus
-        return out
+        return _eval_list(self.coeffs, x, modulus)
 
     def reduce_mod(self, p: int) -> list[int]:
         """Coefficients mod p, trailing zeros stripped (constant term first)."""
@@ -194,46 +183,52 @@ def _strip(f: list[int]) -> list[int]:
     return f
 
 
-def _polmod_p(f: list[int], g: list[int], p: int) -> list[int]:
-    """f mod g in F_p[x]; g need not be monic."""
-    f = f[:]
-    inv = pow(g[-1], -1, p)
-    while len(f) >= len(g):
-        coef = f[-1] * inv % p
-        if coef:
-            shift = len(f) - len(g)
-            for i, x in enumerate(g):
-                f[shift + i] = (f[shift + i] - coef * x) % p
-        f.pop()
-        _strip(f)
-        if not f:
-            break
-    return f
-
-
-def _polmulmod_p(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+def _convolve(a, b) -> list[int]:
+    """Coefficients of the product of two coefficient sequences, unreduced."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _polmod_p(_strip(out), g, p)
+                out[i + j] += x * y
+    return out
+
+
+def _divmod_p(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(f div g, f mod g) in F_p[x]; g need not be monic."""
+    rem = f[:]
+    quot = [0] * max(0, len(f) - len(g) + 1)
+    inv = pow(g[-1], -1, p)
+    while len(rem) >= len(g):
+        coef = rem[-1] * inv % p
+        if coef:
+            shift = len(rem) - len(g)
+            quot[shift] = coef
+            for i, x in enumerate(g):
+                rem[shift + i] = (rem[shift + i] - coef * x) % p
+        rem.pop()
+        _strip(rem)
+    return _strip(quot), rem
+
+
+def _polmulmod_p(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+    """a * b mod g in F_p[x]."""
+    return _divmod_p(_strip([x % p for x in _convolve(a, b)]), g, p)[1]
 
 
 def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _strip(a[:]), _strip(b[:])
     while b:
-        a, b = b, _polmod_p(a, b, p)
+        a, b = b, _divmod_p(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
     return a
 
 
-def _xpow_mod(e: int, g: list[int], p: int) -> list[int]:
-    """x^e mod g in F_p[x]."""
+def _xshift_pow(a: int, e: int, g: list[int], p: int) -> list[int]:
+    """(x + a)^e mod g in F_p[x]."""
     result = [1]
-    base = _polmod_p([0, 1], g, p)
+    base = _divmod_p([a, 1], g, p)[1]
     while e:
         if e & 1:
             result = _polmulmod_p(result, base, g, p)
@@ -251,7 +246,7 @@ def _resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
     while True:
         if len(g) == 1:
             return res * pow(g[0], len(f) - 1, p) % p
-        r = _polmod_p(f, g, p)
+        r = _divmod_p(f, g, p)[1]
         deg_f, deg_g = len(f) - 1, len(g) - 1
         if not r:
             return 0
@@ -273,20 +268,15 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     norm_f = isqrt(sum(c * c for c in f.coeffs)) + 1
     norm_g = isqrt(sum(c * c for c in g.coeffs)) + 1
     bound = 2 * norm_f**g.degree * norm_g**f.degree
-    value, modulus = 0, 1
+    residues, modulus = [], 1
     q = (1 << 61) - 1
     while modulus <= bound:
-        while True:
-            q = _next_probable_prime_below(q)
-            if f.leading() % q and g.leading() % q:
-                break
-        rq = _resultant_mod_p(f.reduce_mod(q), g.reduce_mod(q), q)
-        t = (rq - value) * pow(modulus, -1, q) % q
-        value += modulus * t
-        modulus *= q
-    if value > modulus // 2:
-        value -= modulus
-    return value
+        q = _next_probable_prime_below(q)
+        if f.leading() % q and g.leading() % q:
+            residues.append((_resultant_mod_p(f.reduce_mod(q), g.reduce_mod(q), q), q))
+            modulus *= q
+    value = crt(residues)
+    return value - modulus if value > modulus // 2 else value
 
 
 def _next_probable_prime_below(q: int) -> int:
@@ -316,7 +306,7 @@ def discriminant_mod_p(poly: IntPoly, p: int) -> int:
     if poly.leading() % p == 0:
         raise ValueError("leading coefficient vanishes mod p")
     f = poly.reduce_mod(p)
-    fp = _strip([i * poly.coeffs[i] % p for i in range(1, len(poly.coeffs))])
+    fp = poly.derivative().reduce_mod(p)
     if not fp:
         return 0
     d = len(f) - 1
@@ -330,17 +320,19 @@ def discriminant_mod_p(poly: IntPoly, p: int) -> int:
     return sign * res * pow(f[-1], -1, p) % p
 
 
+def _linear_part(f: list[int], p: int) -> list[int]:
+    """gcd(x^p - x, f) in F_p[x]: the product of f's distinct linear factors."""
+    diff = _xshift_pow(0, p, f, p) + [0, 0]
+    diff[1] = (diff[1] - 1) % p
+    return _gcd_p(f, diff, p)
+
+
 def has_root_mod_p(poly: IntPoly, p: int) -> bool:
     """Whether poly has a root in F_p, via gcd(x^p - x, poly)."""
     f = poly.reduce_mod(p)
     if not f:
         raise ValueError("polynomial vanishes identically mod p")
-    if len(f) == 1:
-        return False
-    xp = _xpow_mod(p, f, p)
-    diff = xp[:] + [0] * max(0, 2 - len(xp))
-    diff[1] = (diff[1] - 1) % p
-    return len(_gcd_p(f, _strip(diff), p)) - 1 >= 1
+    return len(f) > 1 and len(_linear_part(f, p)) > 1
 
 
 def roots_mod_p(poly: IntPoly, p: int) -> list[tuple[int, int]]:
@@ -357,15 +349,11 @@ def roots_mod_p(poly: IntPoly, p: int) -> list[tuple[int, int]]:
     if p < _BRUTE_ROOT_LIMIT:
         roots = [r for r in range(p) if _eval_list(f, r, p) == 0]
     else:
-        xp = _xpow_mod(p, f, p)
-        diff = xp[:] + [0] * max(0, 2 - len(xp))
-        diff[1] = (diff[1] - 1) % p
-        linear_part = _gcd_p(f, _strip(diff), p)
-        roots = sorted(_split_linear(linear_part, p))
+        roots = sorted(_split_linear(_linear_part(f, p), p))
     return [(r, _root_multiplicity(f, r, p)) for r in roots]
 
 
-def _eval_list(f: list[int], x: int, p: int) -> int:
+def _eval_list(f, x: int, p: int) -> int:
     out = 0
     for coef in reversed(f):
         out = (out * x + coef) % p
@@ -374,66 +362,28 @@ def _eval_list(f: list[int], x: int, p: int) -> int:
 
 def _split_linear(g: list[int], p: int) -> list[int]:
     """Roots of a squarefree product of distinct linear factors in F_p[x]."""
-    if len(g) - 1 <= 0:
+    if len(g) <= 1:
         return []
     if len(g) == 2:
         return [(-g[0]) * pow(g[1], -1, p) % p]
     while True:
         a = _rng.randrange(p)
-        shifted = _xshift_pow(a, (p - 1) // 2, g, p)
-        shifted = shifted[:] if shifted else [0]
+        shifted = _xshift_pow(a, (p - 1) // 2, g, p) or [0]
         shifted[0] = (shifted[0] - 1) % p
-        h = _gcd_p(g, _strip(shifted), p)
-        if 0 < len(h) - 1 < len(g) - 1:
-            rest = _quo_p(g, h, p)
+        h = _gcd_p(g, shifted, p)
+        if 1 < len(h) < len(g):
+            rest = _divmod_p(g, h, p)[0]
             return _split_linear(h, p) + _split_linear(rest, p)
 
 
-def _xshift_pow(a: int, e: int, g: list[int], p: int) -> list[int]:
-    """(x + a)^e mod g in F_p[x]."""
-    result = [1]
-    base = _polmod_p([a, 1], g, p)
-    while e:
-        if e & 1:
-            result = _polmulmod_p(result, base, g, p)
-        base = _polmulmod_p(base, base, g, p)
-        e >>= 1
-    return result
-
-
-def _quo_p(f: list[int], g: list[int], p: int) -> list[int]:
-    f = f[:]
-    inv = pow(g[-1], -1, p)
-    quot = [0] * (len(f) - len(g) + 1)
-    while len(f) >= len(g):
-        coef = f[-1] * inv % p
-        shift = len(f) - len(g)
-        quot[shift] = coef
-        for i, x in enumerate(g):
-            f[shift + i] = (f[shift + i] - coef * x) % p
-        f.pop()
-        _strip(f)
-        if not f:
-            break
-    return _strip(quot)
-
-
 def _root_multiplicity(f: list[int], r: int, p: int) -> int:
+    """The exponent of (x - r) in f, by repeated division."""
+    linear = [-r % p, 1]
     mult = 0
-    g = f[:]
-    while len(g) > 1:
-        # synthetic division by (x - r)
-        high = list(reversed(g))
-        acc = 0
-        out = []
-        for coef in high:
-            acc = (acc * r + coef) % p
-            out.append(acc)
-        remainder = out.pop()
-        if remainder != 0:
-            break
-        g = list(reversed(out))
+    quot, rem = _divmod_p(f, linear, p)
+    while not rem:
         mult += 1
+        quot, rem = _divmod_p(quot, linear, p)
     return mult
 
 

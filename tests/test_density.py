@@ -10,6 +10,7 @@ from critorbit import (
     fpp_symmetric,
     gleason_degree,
     limit_error_bound,
+    primes_up_to,
 )
 from critorbit.density import CONDITIONAL_NOTE, density_scan_rows
 
@@ -96,6 +97,15 @@ class TestEmpiricalDensity:
         assert (5, True) in rows
         assert (7, True) in rows  # c = 3 gives period 3 mod 7
         assert all(p not in (2, 23) for p, _ in rows)
+
+    @pytest.mark.parametrize("d,n,limit", [(2, 3, 400), (2, 5, 600), (3, 3, 300)])
+    def test_scan_rows_agree_with_counts(self, d, n, limit):
+        rows = density_scan_rows(d, n, limit)
+        hits = sum(1 for _, has_root in rows if has_root)
+        missing = tuple(sorted(set(primes_up_to(limit)) - {p for p, _ in rows}))
+        for jobs in (1, 2):
+            result = empirical_density(d, n, limit, jobs=jobs)
+            assert (result.hits, result.total, result.skipped) == (hits, len(rows), missing)
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,18 @@ class TestResultantAndDiscriminant:
         assert values == [1, 1, 1, 1, 4]
 
 
+def _with_chosen_roots(p, count, rng):
+    """5 * (x^2 - a) * prod (x - r)^m for a non-residue a and distinct roots r
+    with multiplicities 1..3; returns the polynomial and its sorted roots."""
+    nonresidue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    poly = IntPoly([-5 * nonresidue, 0, 5])
+    expected = sorted((r, rng.randrange(1, 4)) for r in rng.sample(range(p), count))
+    for r, mult in expected:
+        for _ in range(mult):
+            poly = poly * IntPoly([-r, 1])
+    return poly, expected
+
+
 class TestRootsModP:
     def test_has_root(self):
         assert has_root_mod_p(gleason_poly(2, 3), 5)
@@ -202,6 +214,26 @@ class TestRootsModP:
         p = 1_000_003
         assert roots_mod_p(IntPoly([1, 0, 1]), p) == []
         assert not has_root_mod_p(IntPoly([1, 0, 1]), p)
+
+    # primes on both sides of the brute-force limit of 10^6
+    @pytest.mark.parametrize("p", [101, 7919, 1_000_003, 1_000_033, 2_147_483_647])
+    def test_chosen_roots_and_multiplicities(self, p):
+        rng = random.Random(p)
+        for count in (0, 1, 3):
+            poly, expected = _with_chosen_roots(p, count, rng)
+            assert roots_mod_p(poly, p) == expected
+            assert has_root_mod_p(poly, p) == bool(expected)
+
+    @pytest.mark.parametrize("p", [1_000_003, 1_000_033, 2_147_483_647])
+    def test_large_prime_roots_match_sympy(self, p):
+        galoistools = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+
+        poly, expected = _with_chosen_roots(p, 3, random.Random(p + 1))
+        high_first = [ZZ(c % p) for c in reversed(poly.coeffs)]
+        _, factors = galoistools.gf_factor(high_first, p, ZZ)
+        linear = sorted((-int(f[1]) % p, m) for f, m in factors if len(f) == 2)
+        assert roots_mod_p(poly, p) == linear == expected
 
 
 class TestSimpleRoots:

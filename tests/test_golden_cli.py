@@ -2,10 +2,12 @@
 
 Each case stores the SHA-256 of everything ``critorbit.cli.main`` writes to
 stdout plus its exit code.  The hashes were recorded before the orbit kernel
-was merged, so a refactor that changes any payload byte (key order, number
-formatting, an answer) fails here.  Together the cases cover all 18
-subcommands, exit codes 0, 1 and 2, ``density --csv``, ``certify --check``
-and rational parameters.
+was merged, and the three large-prime ``roots`` and pooled ``density`` cases
+before the ``F_p[x]`` helpers were merged, so a refactor that changes any
+payload byte (key order, number formatting, an answer) fails here.  Together
+the cases cover all 18 subcommands, exit codes 0, 1 and 2, ``density --csv``,
+``certify --check``, rational parameters, root splitting above 10^6 and a
+density scan merged from two worker processes.
 
 Exit code 3 (``exhausted``) is not covered: the only CLI path that raises
 ``SearchExhaustedError`` is the automatic prime search of ``construct``,
@@ -95,6 +97,10 @@ CASES = [
      "2cad71a7c1361c9e4c0780736d3f05a86cdae627379aedf08b0f67f60e80bf0f"),
     ("roots", "--seed 7 roots --d 2 --n 3 --p 23", 0,
      "3367cb41442cd299404edc04c88c875258a89d24cd50daa0878293dd954b03d4"),
+    ("roots-split-quadratic", "--seed 7 roots --d 2 --n 6 --p 1000183", 0,
+     "5d8db50997e45fd199b21fc3ebd2ebe1561517fb54f029e89c174b874b938761"),
+    ("roots-split-cubic", "--seed 7 roots --d 3 --n 4 --p 1000213", 0,
+     "3fb396a0a9aaff45dde53eca9783da8d92340998996907f053383bfc8c188cc1"),
     ("lift", "lift --d 2 --n 3 --p 5 --c0 1 --precision 12", 0,
      "a2b29bb90c6e8275658114e5c5b830f9f6e16149f1689c0a47e404729cdf0277"),
     ("lift-obstruction", "lift --d 2 --n 5 --p 13 --c0 3 --precision 2", 2,
@@ -125,6 +131,8 @@ CASES = [
      "994fe6d675afa9aebb2dfb0a4680f5e9f1d9b6e05eb856174011273b76761e03"),
     ("density-csv", "density --d 3 --n 2 --limit 120 --csv", 0,
      "f1d8249364d18d700fe2f5d4470a8d3804170ba31e85eb8682219a0ed2e3434f"),
+    ("density-pooled", "density --d 2 --n 5 --limit 400 --threads 2", 0,
+     "512cb8602717f8d99633a277c060db90abc5f582874542d11c8a91559b304c48"),
     ("bound-rational", "bound --d 2 --n 4 --c=-3/2", 0,
      "418925bfe8e0e7d41272bbdc7177be32042036726217950a60597ed8cafbdbf1"),
     ("bound-pcf", "bound --d 2 --n 3 --c 0", 2,

@@ -16,9 +16,10 @@ perfectly usable).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arith import Residue, crt, is_prime, next_prime
+from .arith import crt, is_prime, next_prime
 from .errors import (
     DiscObstructionError,
     InternalConsistencyError,
@@ -33,7 +34,8 @@ from .gleason import (
     roots_mod_p,
 )
 from .lifting import adjust_power, hensel_lift
-from .orbit import is_primitive_divisor, orbit_with_derivative, period_type_mod
+from .orbit import is_primitive_divisor
+from .pcf import _is_simple_root, _scan
 
 _PRIME_SCAN_CEILING = 10**6
 _DISC_FEASIBLE_DEGREE = 128  # exact integer discriminants get slow beyond
@@ -155,27 +157,40 @@ def find_base(d: int, n: int, p: int) -> int | None:
     Equivalently the smallest root of the period-n Gleason polynomial mod p
     that keeps exact (not just formal) period; absence is a normal result.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p >= 10**6:
-        if gleason_degree(d, n) > _GLEASON_FEASIBLE_DEGREE:
-            raise ValueError(
-                f"cannot search bases: p = {p} is too large to scan and the "
-                f"period-{n} Gleason polynomial is too large to build"
-            )
-        candidates = [r for r, _ in roots_mod_p(gleason_poly(d, n), p)]
-    else:
-        candidates = range(p)
-    for c0 in candidates:
-        ptype, _ = period_type_mod(d, Residue(p, 1, c0))
-        if ptype.tail == 0 and ptype.period == n:
-            return c0
-    return None
+    roots = None if p < 10**6 else _gleason_roots(d, n, p)
+    return next((c0 for c0, _ in _scan(d, p, n, roots)), None)
 
 
-def _base_is_simple(d: int, n: int, p: int, c0: int) -> bool:
-    _, deriv = orbit_with_derivative(d, Residue(p, 1, c0), n)
-    return deriv.value % p != 0
+def _gleason_roots(d: int, n: int, p: int) -> Iterator[int]:
+    # a generator, so the size check runs after the scan has checked p
+    if gleason_degree(d, n) > _GLEASON_FEASIBLE_DEGREE:
+        raise ValueError(
+            f"cannot search bases: p = {p} is too large to scan and the "
+            f"period-{n} Gleason polynomial is too large to build"
+        )
+    yield from (r for r, _ in roots_mod_p(gleason_poly(d, n), p))
+
+
+def _admissible_base(d: int, n: int, p: int, disc: int | None) -> int:
+    """The simple-root base of exact period n at p, where p does not divide
+    ``disc`` (None if too large to compute); raises the error saying why not."""
+    if disc is not None and disc % p == 0:
+        raise DiscObstructionError(
+            f"pinned prime {p} divides disc of the period-{n} Gleason "
+            "polynomial; the exact-power adjustment is not licensed there"
+        )
+    c0 = find_base(d, n, p)
+    if c0 is None:
+        raise PrimeNotAdmissibleError(
+            f"prime {p} is not admissible for iterate {n}: no parameter "
+            f"in F_{p} has critical orbit of exact period {n}"
+        )
+    if not _is_simple_root(d, n, p, c0):
+        raise DiscObstructionError(
+            f"base parameter {c0} mod {p} is not a simple root of the "
+            f"period-{n} orbit value; exact-power adjustment unavailable"
+        )
+    return c0
 
 
 def find_prime_for_iterate(
@@ -191,10 +206,10 @@ def find_prime_for_iterate(
     p = 2
     while p <= ceiling:
         if p not in excluded and d % p != 0:
-            if disc is None or disc % p != 0:
-                c0 = find_base(d, n, p)
-                if c0 is not None and _base_is_simple(d, n, p, c0):
-                    return p, c0
+            try:
+                return p, _admissible_base(d, n, p, disc)
+            except (DiscObstructionError, PrimeNotAdmissibleError):
+                pass
         p = next_prime(p)
     raise SearchExhaustedError(
         f"no admissible prime for iterate {n} within bound {ceiling}", ceiling
@@ -214,57 +229,30 @@ def build_parameter(spec: DivisibilitySpec) -> ConstructionReport:
     taken.update(c.p for c in spec.constraints if c.p is not None)
     resolved: list[tuple[PrimePowerConstraint, int, int]] = []  # (constraint, p, c0)
     for constraint in spec.constraints:
-        n = constraint.n
-        if constraint.p is not None:
-            p = constraint.p
-            disc = _gleason_disc_if_feasible(d, n)
-            if disc is not None and disc % p == 0:
-                raise DiscObstructionError(
-                    f"pinned prime {p} divides disc of the period-{n} Gleason "
-                    "polynomial; the exact-power adjustment is not licensed there"
-                )
-            c0 = find_base(d, n, p)
-            if c0 is None:
-                raise PrimeNotAdmissibleError(
-                    f"prime {p} is not admissible for iterate {n}: no parameter "
-                    f"in F_{p} has critical orbit of exact period {n}"
-                )
-            if not _base_is_simple(d, n, p, c0):
-                raise DiscObstructionError(
-                    f"base parameter {c0} mod {p} is not a simple root of the "
-                    f"period-{n} orbit value; exact-power adjustment unavailable"
-                )
+        n, p = constraint.n, constraint.p
+        if p is not None:
+            c0 = _admissible_base(d, n, p, _gleason_disc_if_feasible(d, n))
         else:
             p, c0 = find_prime_for_iterate(d, n, excluded=taken)
             taken.add(p)
         resolved.append((constraint, p, c0))
+    # all primes are resolved first, so an inadmissible one costs no lifts
     records = []
-    congruences = []
     for constraint, p, c0 in resolved:
         n, k = constraint.n, constraint.k
         lift = hensel_lift(d, n, p, c0, precision=k + 2)
-        c_exact = adjust_power(lift, k)
         modulus = p ** (k + 1)
-        residue = c_exact % modulus
-        congruences.append((residue, modulus))
-        records.append((n, p, k, c0, modulus, residue))
-    c = crt(congruences)
-    final_records = []
-    for n, p, k, c0, modulus, residue in records:
-        primitive, valuation = is_primitive_divisor(d, c, n, p)
-        ok = primitive and valuation == k
-        if not ok:
+        residue = adjust_power(lift, k) % modulus
+        records.append(ConstraintRecord(n, p, k, c0, modulus, residue, verified=True))
+    c = crt([(r.residue, r.modulus) for r in records])
+    for r in records:
+        primitive, valuation = is_primitive_divisor(d, c, r.n, r.p)
+        if not (primitive and valuation == r.k):
             raise InternalConsistencyError(
-                f"final verification failed at (n={n}, p={p}, k={k}): "
+                f"final verification failed at (n={r.n}, p={r.p}, k={r.k}): "
                 f"primitive={primitive}, nu={valuation}"
             )
-        final_records.append(
-            ConstraintRecord(
-                n=n, p=p, k=k, base_c0=c0, modulus=modulus, residue=residue,
-                verified=True,
-            )
-        )
-    return ConstructionReport(d=d, c=c, records=tuple(final_records))
+    return ConstructionReport(d=d, c=c, records=tuple(records))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ periodic parameter is a simple root of its orbit-value polynomial.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .arith import Residue, is_prime
@@ -58,13 +58,30 @@ class PcfCensus:
         }
 
 
-def enumerate_pcf(d: int, p: int) -> PcfCensus:
-    """Direct orbit computation for every parameter c in F_p."""
+def _scan(d: int, p: int, n: int | None = None,
+          candidates: Iterable[int] | None = None) -> Iterator[tuple[int, PeriodType]]:
+    """(c, period type of 0) for the candidates c in F_p, all of F_p by
+    default; given n, only the c where 0 has exact period n.  p is checked at
+    once and the candidates are walked lazily."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    rows = ((c, period_type_mod(d, Residue(p, 1, c))[0])
+            for c in (range(p) if candidates is None else candidates))
+    if n is None:
+        return rows
+    return ((c, t) for c, t in rows if t.tail == 0 and t.period == n)
+
+
+def _is_simple_root(d: int, n: int, p: int, c: int) -> bool:
+    """Whether c is a simple root of f^n(0) mod p, as a polynomial in c."""
+    _, deriv = orbit_with_derivative(d, Residue(p, 1, c), n)
+    return deriv.value % p != 0
+
+
+def enumerate_pcf(d: int, p: int) -> PcfCensus:
+    """Direct orbit computation for every parameter c in F_p."""
     census = PcfCensus(d=d, p=p)
-    for c in range(p):
-        ptype, _ = period_type_mod(d, Residue(p, 1, c))
+    for c, ptype in _scan(d, p):
         if ptype.tail == 0:
             census.periodic[c] = ptype
         else:
@@ -75,17 +92,10 @@ def enumerate_pcf(d: int, p: int) -> PcfCensus:
 def check_condition_star(d: int, p: int, n: int) -> tuple[bool, list[int]]:
     """Whether every c in F_p with critical period exactly n is a simple root
     of the n-th orbit-value polynomial; returns the failing parameters."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    bases = _scan(d, p, n)  # a composite p is reported before a bad n
     if not 1 <= n <= p:
         raise ValueError("period must lie in [1, p]")
-    failures = []
-    for c in range(p):
-        ptype, _ = period_type_mod(d, Residue(p, 1, c))
-        if ptype.tail == 0 and ptype.period == n:
-            _, deriv = orbit_with_derivative(d, Residue(p, 1, c), n)
-            if deriv.value % p == 0:
-                failures.append(c)
+    failures = [c for c, _ in bases if not _is_simple_root(d, n, p, c)]
     return not failures, failures
 
 
@@ -112,12 +122,10 @@ def _star_star_failures(
     census: PcfCensus, max_period: int | None
 ) -> Iterator[tuple[int, int]]:
     # lazy, so a yes/no check stops at the first failure
-    p = census.p
     for c, ptype in sorted(census.periodic.items()):
         if max_period is not None and ptype.period > max_period:
             continue
-        _, deriv = orbit_with_derivative(census.d, Residue(p, 1, c), ptype.period)
-        if deriv.value % p == 0:
+        if not _is_simple_root(census.d, ptype.period, census.p, c):
             yield c, ptype.period
 
 

@@ -304,6 +304,38 @@ class TestClosedPipe:
         proc.stderr.close()
 
 
+@pytest.fixture
+def no_int_str_limit():
+    # parsing the answer below needs what the CLI itself lifts
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_lift_prints_a_modulus_above_the_int_to_str_limit(no_int_str_limit):
+    # 5^6200 has 4334 digits, more than the interpreter's default limit of 4300
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    argv = ["lift", "--d", "2", "--n", "3", "--p", "5", "--c0", "1", "--precision", "6200"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "critorbit.cli", *argv],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-300:]
+    payload = json.loads(proc.stdout)["payload"]
+    modulus = 5**6200
+    assert len(payload["modulus"]) == 4334
+    assert payload["modulus"] == str(modulus)
+    c, x = int(payload["value"]), 0
+    for _ in range(3):
+        x = (x * x + c) % modulus
+    assert x == 0
+
+
 _ANY = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)

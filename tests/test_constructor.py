@@ -10,8 +10,11 @@ from critorbit import (
     build_parameter,
     find_base,
     find_prime_for_iterate,
+    primes_up_to,
     verify_spec,
 )
+
+from oracles import orbit_walk
 
 C52 = 24351981847787737533052341852056330671894786203451391
 
@@ -45,6 +48,15 @@ class TestFindBase:
     def test_formal_but_not_exact_period_filtered(self):
         # mod 23 both Gleason roots keep exact period 3; the smaller wins
         assert find_base(2, 3, 23) == 14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_find_base_is_the_first_parameter_of_exact_period(d):
+    for p in primes_up_to(100):
+        walks = [orbit_walk(d, c, p) for c in range(p)]
+        for n in range(1, 8):
+            expected = next((c for c, walk in enumerate(walks) if walk == (0, n)), None)
+            assert find_base(d, n, p) == expected, (p, n)
 
 
 class TestFindPrimeForIterate:
@@ -211,3 +223,40 @@ class TestBuildParameter:
         )
         report = build_parameter(spec)
         assert report.records[0].p not in {2, 5}
+
+
+def _pinned(d, n, p):
+    return DivisibilitySpec(d=d, constraints=(PrimePowerConstraint(n=n, k=1, p=p),))
+
+
+def _assert_pinned_and_automatic_agree(d, n, excluded):
+    p, c0 = find_prime_for_iterate(d, n, excluded=excluded)
+    # a prime the scan passes over fails when pinned, unless the scan skipped
+    # it for being excluded or dividing d
+    for q in primes_up_to(p - 1):
+        if q not in excluded and d % q != 0:
+            with pytest.raises((DiscObstructionError, PrimeNotAdmissibleError)):
+                build_parameter(_pinned(d, n, q))
+    assert build_parameter(_pinned(d, n, p)).records[0].base_c0 == c0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pinned_and_automatic_primes_agree(d):
+    cases = [(n, frozenset()) for n in range(1, 7)]
+    cases += [(2, frozenset({5})), (3, frozenset({5, 7}))]
+    for n, excluded in cases:
+        _assert_pinned_and_automatic_agree(d, n, excluded)
+
+
+def test_automatic_scan_passes_over_a_double_root_base():
+    # excluding the admissible primes of iterate 9 below 137 makes the scan
+    # reach 137, whose base 78 is a double root of f^9(0) mod 137; the
+    # discriminant is too large to compute there, so only the root test
+    # rejects it
+    excluded = set()
+    while (p := find_prime_for_iterate(2, 9, excluded=excluded)[0]) < 137:
+        excluded.add(p)
+    assert p == 139
+    with pytest.raises(DiscObstructionError, match="78 mod 137 is not a simple root"):
+        build_parameter(_pinned(2, 9, 137))
+    _assert_pinned_and_automatic_agree(2, 9, frozenset(excluded))

@@ -2,8 +2,10 @@
 
 Each case stores the SHA-256 of everything ``critorbit.cli.main`` writes to
 stdout plus its exit code.  The hashes were recorded before the orbit kernel
-was merged, and the three large-prime ``roots`` and pooled ``density`` cases
-before the ``F_p[x]`` helpers were merged, so a refactor that changes any
+was merged, the three large-prime ``roots`` and pooled ``density`` cases
+before the ``F_p[x]`` helpers were merged, and the automatic-prime and
+inadmissible-prime ``construct`` cases, the cubic ``condition`` cases and the
+wrong-period ``lift`` before the F_p base search was shared, so a refactor that changes any
 payload byte (key order, number formatting, an answer) fails here.  Together
 the cases cover all 18 subcommands, exit codes 0, 1 and 2, ``density --csv``,
 ``certify --check``, rational parameters, root splitting above 10^6 and a
@@ -60,8 +62,31 @@ CERT = {
 }
 TAMPERED = dict(CERT, entries=[_entry(1, 5, 1), _entry(2, 3, 3), _entry(3, 181, 1)])
 
+
+
+def _spec(d, constraints, exclude=()):
+    """A spec of (n, p or None, k) constraints, one prime per iterate."""
+    return {
+        "d": d,
+        "constraints": [
+            {"n": n, "primes": [{"k": k} if p is None else {"p": str(p), "k": k}]}
+            for n, p, k in constraints
+        ],
+        "exclude_primes": [str(p) for p in exclude],
+    }
+
+
 FILES = {
     "spec": SPEC,
+    # automatic primes, with and without an excluded prime
+    "spec_auto": _spec(2, [(3, None, 2), (4, None, 1)]),
+    "spec_auto_excluded": _spec(3, [(2, None, 3), (3, None, 1)], exclude=[5]),
+    # pinned primes that fail each admissibility test: no base of exact
+    # period 3 in F_13, 23 divides the period-3 discriminant, and the base 78
+    # of period 9 mod 137 is a double root
+    "spec_no_base": _spec(2, [(3, 13, 1)]),
+    "spec_disc": _spec(2, [(3, 23, 1)]),
+    "spec_double_root": _spec(2, [(9, 137, 1)]),
     "cert": CERT,
     "tampered": TAMPERED,
     "witnesses": {"1": "5", "2": "3"},
@@ -105,10 +130,22 @@ CASES = [
      "a2b29bb90c6e8275658114e5c5b830f9f6e16149f1689c0a47e404729cdf0277"),
     ("lift-obstruction", "lift --d 2 --n 5 --p 13 --c0 3 --precision 2", 2,
      "43ebfb61c45d42b6da0410ae41d2284460b6fba46ee226f87c5dd81537bfc922"),
+    ("lift-wrong-period", "lift --d 2 --n 4 --p 5 --c0 1 --precision 3", 2,
+     "94f4a85a7eb08ef56ab3c596fe478e79a446b3654ed4ba50b19f08b0e74efeab"),
     ("adjust", "adjust --d 2 --n 3 --p 5 --c0 1 --r 4", 0,
      "be9a220ddbb99417ad5ef6a5dffdcf0b86b18c3667c8bdacd15a16f545ad55e8"),
     ("construct", "construct --spec {spec}", 0,
      "d442bc346f5f1725d6ca0cf23629fe70a3d7ef131a577f714c51320b033b4dc6"),
+    ("construct-auto", "construct --spec {spec_auto}", 0,
+     "82729d8dfb210c45004bcb3e5a74756195da1e4c5d22d4d51533ffb1c403e89d"),
+    ("construct-auto-excluded", "construct --spec {spec_auto_excluded}", 0,
+     "363833ef8c1651a77015a93b60c5bda1a3c63c0bbf827b7c4a80cba1a54e3b0f"),
+    ("construct-no-base", "construct --spec {spec_no_base}", 2,
+     "157031832e97916d4d2c296518b9824d475f2a95bb1e3911472f35cb916ed9a5"),
+    ("construct-disc", "construct --spec {spec_disc}", 2,
+     "e4abffd072ce2487704e8454310582e7519adb6b7b4272350429ebe68a4912b4"),
+    ("construct-double-root", "construct --spec {spec_double_root}", 2,
+     "556e71e498cb4f3c176269d761f50b0c453e39418fcc9a0f80efc8e18d2b83c8"),
     ("verify-ok", "verify --d 2 --c 521 --spec {spec}", 0,
      "bb2328974f29ab92606868905a94a809e58d411dcb08f9e23c4e812e0f43cfda"),
     ("verify-failed", "verify --d 2 --c 1 --spec {spec}", 1,
@@ -123,6 +160,10 @@ CASES = [
      "4b77a367d1511a5b643e22c9a06eef9a1f7d17fff09bf0f7b8486aacf9d18bc2"),
     ("condition-star", "condition --d 2 --p 13 --n 5", 0,
      "6e58eeb5b387745111327d60cb5ca5fd4dc5cf7af394ea3f2b491e5d51d1372b"),
+    ("condition-cubic", "condition --d 3 --p 659", 0,
+     "3bee7f1cf8c8a7324ad20ba275ad9562dfd006fe221a86a0f21ad28ee3ae0d16"),
+    ("condition-star-cubic", "condition --d 3 --p 1009 --n 4", 0,
+     "fcda086e63636b433900fbc77f2a91aec28864da3256f326d599378f23d94dc8"),
     ("correspond", "correspond --d 2 --p 13 --precision 5", 0,
      "caca001be11cc702c7349a9790073f3c6053ff4c99fb86bd89b5ce7434cc33f9"),
     ("correspond-cubic", "correspond --d 3 --p 11 --precision 8", 0,

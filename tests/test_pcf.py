@@ -155,3 +155,17 @@ class TestCorrespondence:
         report = correspondence_report(2, 2, precision=2)
         assert not report.guaranteed
         assert not report.strictly_preperiodic_excluded
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_condition_star_failures_are_the_period_n_star_star_failures(d):
+    failing = 0
+    for p in primes_up_to(260):
+        star_star = condition_star_star_failures(d, p)
+        failing += len(star_star)
+        for n in sorted(set(range(1, 8)) | {n for _, n in star_star}):
+            if n <= p:
+                ok, failures = check_condition_star(d, p, n)
+                assert failures == [c for c, m in star_star if m == n], (p, n)
+                assert ok == (not failures)
+    assert failing  # e.g. d = 2 fails at 13, 23, 137, 211 and 251

@@ -2,10 +2,13 @@
 
 Every subcommand prints a single JSON document to stdout:
 
-    {"status": "ok" | "verification-failed" | "invalid-input" | "exhausted",
+    {"status": "ok" | "verification-failed" | "invalid-input" | "exhausted"
+               | "internal-error",
      "payload": {...}}
 
-with exit codes 0/1/2/3 respectively.  Big integers are decimal strings
+with exit codes 0/1/2/3/4 respectively.  "internal-error" means a self-check
+that must always hold failed (``InternalConsistencyError``): a bug, reported
+with its message instead of a traceback.  Big integers are decimal strings
 throughout the payload.  Output is byte-stable for fixed inputs; ``--meta``
 adds a sibling "meta" object (timestamp, version) without touching the
 payload.  ``--csv`` switches the density scan to per-prime CSV rows.
@@ -30,7 +33,11 @@ from .bounds import (
 )
 from .constructor import DivisibilitySpec, build_parameter, verify_spec
 from .density import density_report, density_scan_rows
-from .errors import HenselHypothesisError, SearchExhaustedError
+from .errors import (
+    HenselHypothesisError,
+    InternalConsistencyError,
+    SearchExhaustedError,
+)
 from .gleason import discriminant, gleason_poly, roots_mod_p
 from .lifting import adjust_power, hensel_lift
 from .orbit import (
@@ -51,8 +58,11 @@ OK = "ok"
 VERIFICATION_FAILED = "verification-failed"
 INVALID_INPUT = "invalid-input"
 EXHAUSTED = "exhausted"
+INTERNAL_ERROR = "internal-error"
 
-_EXIT_CODES = {OK: 0, VERIFICATION_FAILED: 1, INVALID_INPUT: 2, EXHAUSTED: 3}
+_EXIT_CODES = {
+    OK: 0, VERIFICATION_FAILED: 1, INVALID_INPUT: 2, EXHAUSTED: 3, INTERNAL_ERROR: 4,
+}
 
 
 def _parse_int(text: str) -> int:
@@ -409,6 +419,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     except SearchExhaustedError as exc:
         outcome = (EXHAUSTED, {"error": str(exc), "bound": exc.bound})
+    except InternalConsistencyError as exc:
+        outcome = (INTERNAL_ERROR, {"error": str(exc)})
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         outcome = (INVALID_INPUT, {"error": str(exc)})
     status, payload = outcome

@@ -158,7 +158,12 @@ def find_base(d: int, n: int, p: int) -> int | None:
     that keeps exact (not just formal) period; absence is a normal result.
     """
     roots = None if p < 10**6 else _gleason_roots(d, n, p)
-    return next((c0 for c0, _ in _scan(d, p, n, roots)), None)
+    bases = _scan(d, p, n, roots)  # a composite p is reported before a bad n
+    if n < 1:
+        raise ValueError("period must lie in [1, p]")
+    if n > p:  # no orbit mod p is longer than p
+        return None
+    return next((c0 for c0, _ in bases), None)
 
 
 def _gleason_roots(d: int, n: int, p: int) -> Iterator[int]:
@@ -203,7 +208,7 @@ def find_prime_for_iterate(
     discriminant, and possessing a base with exact period n.
     """
     disc = _gleason_disc_if_feasible(d, n)
-    p = 2
+    p = next_prime(n - 1)  # the first prime >= n: periods mod p are <= p
     while p <= ceiling:
         if p not in excluded and d % p != 0:
             try:

@@ -10,6 +10,24 @@ c = a/b the iterates are a_n / b^(d^(n-1)) where the integer numerators obey
 For p not dividing b, a_n = b^(d^(n-1)) * f^n(0) with b a unit mod p^t, so
 the orbit of 0 under x^d + a * b^-1 in Z/p^t has the zero pattern and the
 valuations of the a_n.
+
+Over F_p (and Z/p^t at t = 1) the period type comes from one cycle detector.
+For t >= 2 it is built level by level from the cycle mod p, as in Fan & Liao,
+"On minimal decomposition of p-adic polynomial dynamical systems", Adv. Math.
+228 (2011).  Let the orbit's cycle mod p^s have length k, and let y be the
+orbit point at the cycle entry.  On the fibre y + p^s z (z in F_p) over it,
+f^k acts as z -> a z + b with a = (f^k)'(y) and b = (f^k(y) - y) / p^s mod p.
+
+- If the cycle mod p has multiplier 0 (attracting), a = 0 at every level:
+  the period stays k and only the tail grows.
+- Otherwise a is a unit, so the entry point stays periodic: the tail is the
+  one mod p, and each level multiplies k by the period of 0 under the fibre
+  map.  Once a = 1, b != 0 at a level s >= 2 (for p = 2, also
+  (f^k)'(y) = 1 mod 4), the cycle grows at every higher level, and the
+  period mod p^t is k p^(t-s).
+
+No walk stores orbit points: the cost is one walk of the cycle at each level
+before the growth starts, or in the attracting case one walk of the tail.
 """
 
 from __future__ import annotations
@@ -22,7 +40,9 @@ from typing import NamedTuple
 from .arith import Residue, is_prime, val_p
 from .errors import SizeGuardError, ZeroIterateError
 
-_HASH_ORBIT_LIMIT = 10**6  # switch to Brent cycle detection beyond this
+# the detector serves F_p and level-1 walks: it switches to Brent's constant
+# memory cycle detection after this many stored points
+_HASH_ORBIT_LIMIT = 10**6
 _DEFAULT_VALUATION_CAP = 1 << 16
 _DEFAULT_DIGIT_GUARD = 2_000_000
 
@@ -152,10 +172,12 @@ def _orbit_period_brent(
     return tail, period, tortoise
 
 
-def _critical_walk(d: int, c: int, modulus: int, n: int) -> tuple[int, int | None]:
-    """f^n(0) in Z/modulus and the first i <= n with f^i(0) = 0 (None if there
-    is none), in n steps and constant memory."""
-    x = 0
+def _critical_walk(
+    d: int, c: int, modulus: int, n: int, start: int = 0
+) -> tuple[int, int | None]:
+    """f^n(start) in Z/modulus and the first i <= n with f^i(start) = 0 (None
+    if there is none), in n steps and constant memory."""
+    x = start % modulus
     first_zero = None
     for i in range(1, n + 1):
         x = (pow(x, d, modulus) + c) % modulus
@@ -171,18 +193,77 @@ def _reduced_param(param: RationalParam, modulus: int) -> int:
 
 def period_type_mod(d: int, c: Residue) -> tuple[PeriodType, int]:
     """Period type of the critical orbit in Z/p^t, plus the cycle-entry value."""
-    if d < 2:
-        raise ValueError("degree must be >= 2")
-    tail, period, entry = _orbit_period_ints(d, c.value, c.modulus)
-    return PeriodType(tail, period), entry
+    return _period_type(d, c, 0)
 
 
 def point_period_type_mod(d: int, c: Residue, start: int) -> tuple[PeriodType, int]:
     """Period type of an arbitrary starting point in Z/p^t, plus the cycle entry."""
+    return _period_type(d, c, start)
+
+
+def _period_type(d: int, c: Residue, start: int) -> tuple[PeriodType, int]:
+    # t = 1 is the census's per-parameter call: one detector walk
     if d < 2:
         raise ValueError("degree must be >= 2")
-    tail, period, entry = _orbit_period_ints(d, c.value, c.modulus, start)
+    if c.t == 1:
+        tail, period, entry = _orbit_period_ints(d, c.value, c.modulus, start)
+    else:
+        tail, period, entry = _period_type_levels(d, c.value, c.p, c.t, start)
     return PeriodType(tail, period), entry
+
+
+def _period_type_levels(
+    d: int, c: int, p: int, t: int, start: int
+) -> tuple[int, int, int]:
+    """(tail, period, cycle entry) of ``start`` in Z/p^t for t >= 2, from the
+    cycle mod p and one cycle walk per level (see the module docstring)."""
+    modulus = p**t
+    tail, k1, entry = _orbit_period_ints(d, c % p, p, start)
+    lam = _multiplier(d, c, p, entry, k1)
+    if lam == 0:
+        # attracting: the period stays k1, so the entry is the first x_i
+        # with x_i = x_(i + k1)
+        x = start % modulus
+        lead = _critical_walk(d, c, modulus, k1, x)[0]
+        tail = 0
+        while x != lead:
+            x, lead = _step(x, d, c, modulus), _step(lead, d, c, modulus)
+            tail += 1
+        return tail, k1, x
+    entry = _critical_walk(d, c, modulus, tail, start)[0]
+    period = k1
+    for s in range(1, t):
+        low, high = p**s, p ** (s + 1)
+        y = entry % high
+        b = (_critical_walk(d, c, high, period, y)[0] - y) % high // low
+        a = pow(lam, period // k1, p)
+        if s >= 2 and a == 1 and b and (p != 2 or _multiplier(d, c, 4, y, period) == 1):
+            return tail, period * p ** (t - s), entry
+        period *= _fibre_period(a, b, p)
+    return tail, period, entry
+
+
+def _fibre_period(a: int, b: int, p: int) -> int:
+    """Period of 0 under z -> a z + b over F_p, for a unit a."""
+    if b == 0:
+        return 1
+    if a == 1:
+        return p
+    # z - b/(1 - a) is multiplied by a, so 0 returns after ord(a) steps
+    order, x = 1, a
+    while x != 1:
+        x = x * a % p
+        order += 1
+    return order
+
+
+def _multiplier(d: int, c: int, modulus: int, y: int, k: int) -> int:
+    """(f^k)'(y) = prod of d * f^i(y)^(d-1) over i < k, in Z/modulus."""
+    lam = pow(d, k, modulus)
+    for _ in range(k):
+        lam = lam * pow(y, d - 1, modulus) % modulus
+        y = _step(y, d, c, modulus)
+    return lam
 
 
 class Valuation(NamedTuple):
@@ -304,9 +385,4 @@ def multiplier_mod_p(d: int, c: int, r: int, p: int) -> tuple[PeriodType, int]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     tail, period, entry = _orbit_period_ints(d, c, p, r)
-    lam = pow(d, period, p)
-    y = entry
-    for _ in range(period):
-        lam = lam * pow(y, d - 1, p) % p
-        y = _step(y, d, c, p)
-    return PeriodType(tail, period), lam
+    return PeriodType(tail, period), _multiplier(d, c, p, entry, period)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critorbit import DivisibilitySpec, MaximalityCertificate
+from critorbit import DivisibilitySpec, InternalConsistencyError, MaximalityCertificate
+from critorbit import constructor
 from critorbit.cli import main
 from test_acceptance import C29
 from test_bounds import published_valid_entries
@@ -141,6 +142,16 @@ class TestSpecWorkflow:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         return str(path)
+
+    def test_failed_self_check_is_an_internal_error(self, capsys, monkeypatch, spec_file):
+        # a bug, not a verdict: its own status and exit code, not a traceback
+        def broken_lift(*args, **kwargs):
+            raise InternalConsistencyError("lift lost its period")
+
+        monkeypatch.setattr(constructor, "hensel_lift", broken_lift)
+        code, doc = run_json(capsys, "construct", "--spec", spec_file)
+        assert code == 4
+        assert doc == {"status": "internal-error", "payload": {"error": "lift lost its period"}}
 
     def test_construct_then_verify(self, capsys, spec_file):
         code, doc = run_json(capsys, "construct", "--spec", spec_file)
@@ -316,15 +327,19 @@ def no_int_str_limit():
     sys.set_int_max_str_digits(saved)
 
 
-def test_lift_prints_a_modulus_above_the_int_to_str_limit(no_int_str_limit):
-    # 5^6200 has 4334 digits, more than the interpreter's default limit of 4300
+def _run_cli_process(argv, timeout):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    argv = ["lift", "--d", "2", "--n", "3", "--p", "5", "--c0", "1", "--precision", "6200"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "critorbit.cli", *argv],
-        capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=timeout,
     )
+
+
+def test_lift_prints_a_modulus_above_the_int_to_str_limit(no_int_str_limit):
+    # 5^6200 has 4334 digits, more than the interpreter's default limit of 4300
+    argv = ["lift", "--d", "2", "--n", "3", "--p", "5", "--c0", "1", "--precision", "6200"]
+    proc = _run_cli_process(argv, timeout=120)
     assert proc.returncode == 0, proc.stdout[-300:]
     payload = json.loads(proc.stdout)["payload"]
     modulus = 5**6200
@@ -334,6 +349,16 @@ def test_lift_prints_a_modulus_above_the_int_to_str_limit(no_int_str_limit):
     for _ in range(3):
         x = (x * x + c) % modulus
     assert x == 0
+
+
+def test_deep_growing_orbit_answers_at_once():
+    # the period mod 5^20 is 2 * 5^18 (the closed form 2 * 5^(t-2)); a walk
+    # that visits the cycle does not finish
+    proc = _run_cli_process(["orbit", "--d", "2", "--p", "5", "--t", "20", "--c", "3"], timeout=30)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    payload = json.loads(proc.stdout)["payload"]
+    assert payload["period_type"] == {"m": 2, "n": 2 * 5**18}
+    assert payload["cycle_entry"] == "12"
 
 
 _ANY = st.recursive(

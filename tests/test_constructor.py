@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,12 +8,14 @@ from critorbit import (
     DivisibilitySpec,
     PrimeNotAdmissibleError,
     PrimePowerConstraint,
+    SearchExhaustedError,
     build_parameter,
     find_base,
     find_prime_for_iterate,
     primes_up_to,
     verify_spec,
 )
+from critorbit import constructor
 
 from oracles import orbit_walk
 
@@ -49,6 +52,21 @@ class TestFindBase:
         # mod 23 both Gleason roots keep exact period 3; the smaller wins
         assert find_base(2, 3, 23) == 14
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_period_below_one_is_rejected(self, n):
+        with pytest.raises(ValueError, match=r"period must lie in \[1, p\]"):
+            find_base(2, n, 20011)
+
+    def test_composite_p_is_reported_before_the_period(self):
+        with pytest.raises(ValueError, match="not prime"):
+            find_base(2, 0, 20012)
+
+    def test_period_above_p_returns_at_once(self):
+        # no orbit mod p is longer than p; scanning F_20011 takes about 1 s
+        start = time.perf_counter()
+        assert find_base(2, 20012, 20011) is None
+        assert time.perf_counter() - start < 0.25
+
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_find_base_is_the_first_parameter_of_exact_period(d):
@@ -78,6 +96,23 @@ class TestFindPrimeForIterate:
             assert p not in taken
             taken.add(p)
         assert len(taken) == 4
+
+    def test_scan_starts_at_the_first_prime_not_below_n(self, monkeypatch):
+        # primes below n cannot carry an orbit of period n, so none is tried
+        tried = []
+
+        def no_base(d, n, p, disc):
+            tried.append(p)
+            raise PrimeNotAdmissibleError(f"no base at {p}")
+
+        monkeypatch.setattr(constructor, "_admissible_base", no_base)
+        with pytest.raises(SearchExhaustedError):
+            find_prime_for_iterate(2, 30, ceiling=50)
+        assert tried == [31, 37, 41, 43, 47]
+        tried.clear()
+        with pytest.raises(SearchExhaustedError):
+            find_prime_for_iterate(3, 1, ceiling=7)
+        assert tried == [2, 5, 7]
 
 
 class TestSpecValidation:

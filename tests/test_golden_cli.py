@@ -5,7 +5,9 @@ stdout plus its exit code.  The hashes were recorded before the orbit kernel
 was merged, the three large-prime ``roots`` and pooled ``density`` cases
 before the ``F_p[x]`` helpers were merged, and the automatic-prime and
 inadmissible-prime ``construct`` cases, the cubic ``condition`` cases and the
-wrong-period ``lift`` before the F_p base search was shared, so a refactor that changes any
+wrong-period ``lift`` before the F_p base search was shared, and the five
+deep ``orbit`` cases (growing, attracting and p = 2 cycles) before period
+types over Z/p^t were computed level by level, so a refactor that changes any
 payload byte (key order, number formatting, an answer) fails here.  Together
 the cases cover all 18 subcommands, exit codes 0, 1 and 2, ``density --csv``,
 ``certify --check``, rational parameters, root splitting above 10^6 and a
@@ -100,6 +102,16 @@ CASES = [
      "f3c11979ae0275bef7983c3895e613e6278ad2f9773962af2e1b7f474902e7e1"),
     ("orbit-deep", "orbit --d 2 --p 5 --t 6 --c 1", 0,
      "3feb35d2f12e5a786a740d878892632300f22ac4645e1733f0089f1cf5d58507"),
+    ("orbit-growth", "orbit --d 2 --p 5 --t 10 --c 3", 0,
+     "a669e743e088a03b97b5d667619a7c9063c83955830be21efd673bd293c41131"),
+    ("orbit-growth-cubic", "orbit --d 3 --p 7 --t 6 --c 2", 0,
+     "8458e91cdfc4930818ef16f0875808a525ae78e9bef082702cfe632a2fd5cfce"),
+    ("orbit-growth-p3", "orbit --d 2 --p 3 --t 12 --c 7", 0,
+     "fe3147d6161b2c1f4986443ca23ff5877be089e2215eba3f642b68874cf68d16"),
+    ("orbit-attracting", "orbit --d 2 --p 5 --t 12 --c 1", 0,
+     "388b4ffe61e8dbbd7828906a4d56e22c1e8627debb51594e017ba52449858888"),
+    ("orbit-p2", "orbit --d 3 --p 2 --t 20 --c 1", 0,
+     "827d604039aec7e9791b46f92fd7b3fcfe469220b89cb7a0cf81efc9da7e6946"),
     ("orbit-not-prime", "orbit --d 2 --p 6 --c 1", 2,
      "b7db03591ecd5bf8d76ad3dc60b1e1f73ee7e26b5ad868e030d49155ec5a353a"),
     ("valuation-square", "valuation --d 2 --c -9 --n 3 --p 5", 0,

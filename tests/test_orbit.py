@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from critorbit import (
+    PeriodType,
     Residue,
     SizeGuardError,
     ZeroIterateError,
@@ -94,6 +96,88 @@ class TestPeriodTypeMod:
             assert mtype == ptype
             long_walks += tail + period > 3
         assert len(calls) == 2 * long_walks > 0
+
+
+# the largest t with p^t <= 10^5, for the primes the level tests cover
+_MAX_LEVEL = {2: 16, 3: 10, 5: 7, 7: 5, 11: 4}
+
+
+@st.composite
+def _orbit_cases(draw):
+    """(p, t, c, start) with p^t <= 10^5; start 0 half the time."""
+    p = draw(st.sampled_from(sorted(_MAX_LEVEL)))
+    t = draw(st.integers(1, _MAX_LEVEL[p]))
+    c = draw(st.integers(0, p**t - 1))
+    start = draw(st.just(0) | st.integers(0, p**t - 1))
+    return p, t, c, start
+
+
+@st.composite
+def _two_adic_unit_cycles(draw):
+    """(2, t, c, start) with c even and start odd: for odd d the orbit stays
+    odd, so its cycle mod 2 has multiplier 1 and can grow.  From start 0 the
+    cycle mod 2 contains the critical point 0 and is attracting."""
+    t = draw(st.integers(2, 16))
+    half = 2 ** (t - 1)
+    return 2, t, 2 * draw(st.integers(0, half - 1)), 2 * draw(st.integers(0, half - 1)) + 1
+
+
+def _assert_matches_walk(d, case):
+    p, t, c, start = case
+    modulus = p**t
+    tail, period = orbit_walk(d, c, modulus, start)
+    entry = start
+    for _ in range(tail):
+        entry = (pow(entry, d, modulus) + c) % modulus
+    want = (PeriodType(tail, period), entry)
+    assert point_period_type_mod(d, Residue(p, t, c), start) == want
+    if start == 0:
+        assert period_type_mod(d, Residue(p, t, c)) == want
+
+
+class TestPeriodTypeLevels:
+    """Period types over Z/p^t (t >= 2), built from the cycle mod p."""
+
+    @given(d=st.sampled_from([2, 3, 5]), case=_orbit_cases())
+    # a = 1 and b != 0 at level 1 is not enough: each of these cycles grows
+    # by 3 mod 9 and keeps its length mod 27
+    @example(d=2, case=(3, 3, 10, 3))
+    @example(d=2, case=(3, 6, 523, 0))
+    @example(d=2, case=(3, 5, 208, 91))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_orbit_walk(self, d, case):
+        _assert_matches_walk(d, case)
+
+    @given(d=st.sampled_from([3, 5]), case=_two_adic_unit_cycles())
+    # the cycle grows mod 8, but with (f^k)'(y) = 3 mod 4 it keeps its
+    # length mod 16
+    @example(d=3, case=(2, 4, 12, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_two_adic_growth_matches_orbit_walk(self, d, case):
+        _assert_matches_walk(d, case)
+
+    @pytest.mark.parametrize("t", [10, 20, 30])
+    def test_growing_cycle_closed_form(self, t):
+        # x^2 + 3: 0 -> 3 -> 2 = f(2) mod 5, and the cycle grows by 5 from t = 2
+        ptype, entry = period_type_mod(2, Residue(5, t, 3))
+        assert (ptype.tail, ptype.period, entry) == (2, 2 * 5 ** (t - 2), 12)
+
+    def test_attracting_cycle_keeps_its_period(self):
+        # x^2 + 1 mod 5 has the cycle 0 -> 1 -> 2 -> 0 through the critical point
+        for t in range(2, 13):
+            ptype, _ = period_type_mod(2, Residue(5, t, 1))
+            assert ptype.period == 3
+        assert ptype.tail == 31
+
+    def test_deep_orbit_stores_no_points(self):
+        # the period mod 5^10 is 781250; a walk that stores it needs ~100 MB
+        tracemalloc.start()
+        try:
+            period_type_mod(2, Residue(5, 10, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestIterateValuation:

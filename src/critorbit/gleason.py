@@ -22,7 +22,6 @@ from .arith import _rng, crt, is_prime, moebius
 from .errors import InternalConsistencyError, SizeGuardError
 
 _DEGREE_GUARD = 1 << 14
-_BRUTE_ROOT_LIMIT = 10**6
 _GLEASON_FEASIBLE_DEGREE = 2048  # largest Gleason polynomial worth building
 
 
@@ -32,10 +31,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(_strip(list(coeffs)))
 
     @property
     def degree(self) -> int:
@@ -114,10 +110,7 @@ class IntPoly:
 
     def reduce_mod(self, p: int) -> list[int]:
         """Coefficients mod p, trailing zeros stripped (constant term first)."""
-        out = [c % p for c in self.coeffs]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+        return _strip([c % p for c in self.coeffs])
 
     def to_decimal_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -194,25 +187,25 @@ def _convolve(a, b) -> list[int]:
 
 
 def _divmod_p(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    """(f div g, f mod g) in F_p[x]; g need not be monic."""
-    rem = f[:]
-    quot = [0] * max(0, len(f) - len(g) + 1)
+    """(f div g, f mod g) in F_p[x]; f may be unreduced, g need not be monic.
+
+    Each head coefficient is reduced as it is read; the rest once, at the end."""
+    rem = list(f)
+    low = g[:-1]
+    quot = [0] * max(0, len(f) - len(low))
     inv = pow(g[-1], -1, p)
-    while len(rem) >= len(g):
-        coef = rem[-1] * inv % p
+    for shift in range(len(quot) - 1, -1, -1):
+        coef = rem[shift + len(low)] * inv % p
         if coef:
-            shift = len(rem) - len(g)
             quot[shift] = coef
-            for i, x in enumerate(g):
-                rem[shift + i] = (rem[shift + i] - coef * x) % p
-        rem.pop()
-        _strip(rem)
-    return _strip(quot), rem
+            for i, x in enumerate(low, shift):
+                rem[i] -= coef * x
+    return _strip(quot), _strip([x % p for x in rem[: len(low)]])
 
 
 def _polmulmod_p(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
     """a * b mod g in F_p[x]."""
-    return _divmod_p(_strip([x % p for x in _convolve(a, b)]), g, p)[1]
+    return _divmod_p(_convolve(a, b), g, p)[1]
 
 
 def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
@@ -226,14 +219,12 @@ def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _xshift_pow(a: int, e: int, g: list[int], p: int) -> list[int]:
-    """(x + a)^e mod g in F_p[x]."""
+    """(x + a)^e mod g in F_p[x], squaring left to right over the bits of e."""
     result = [1]
-    base = _divmod_p([a, 1], g, p)[1]
-    while e:
-        if e & 1:
-            result = _polmulmod_p(result, base, g, p)
-        base = _polmulmod_p(base, base, g, p)
-        e >>= 1
+    for bit in f"{e:b}":
+        result = _polmulmod_p(result, result, g, p)
+        if bit == "1":
+            result = _polmulmod_p(result, [a, 1], g, p)
     return result
 
 
@@ -336,20 +327,18 @@ def has_root_mod_p(poly: IntPoly, p: int) -> bool:
 
 
 def roots_mod_p(poly: IntPoly, p: int) -> list[tuple[int, int]]:
-    """All F_p roots with multiplicities, sorted by root.
+    """All F_p roots with multiplicities, sorted by root; p must be prime.
 
-    Brute-force evaluation below 10^6; x^p - x splitting with equal-degree
-    refinement beyond.
+    The distinct roots are those of gcd(x^p - x, poly), split by equal-degree
+    refinement.  A gcd of degree p is x^p - x itself: every residue is a root.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     f = poly.reduce_mod(p)
     if not f:
         raise ValueError("polynomial vanishes identically mod p")
-    if len(f) == 1:
-        return []
-    if p < _BRUTE_ROOT_LIMIT:
-        roots = [r for r in range(p) if _eval_list(f, r, p) == 0]
-    else:
-        roots = sorted(_split_linear(_linear_part(f, p), p))
+    linear = _linear_part(f, p)
+    roots = range(p) if len(linear) == p + 1 else sorted(_split_linear(linear, p))
     return [(r, _root_multiplicity(f, r, p)) for r in roots]
 
 

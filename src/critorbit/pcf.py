@@ -169,12 +169,12 @@ class CorrespondenceReport:
         }
 
 
-def _disc_clean_for_all_observed(d: int, p: int, periods: list[int]) -> bool:
-    for n in periods:
-        if gleason_degree(d, n) > _GLEASON_FEASIBLE_DEGREE:
+def _disc_clean_for_all_observed(census: PcfCensus) -> bool:
+    for n in census.observed_periods():
+        if gleason_degree(census.d, n) > _GLEASON_FEASIBLE_DEGREE:
             return False
-        g = gleason_poly(d, n)
-        if g.degree >= 1 and discriminant_mod_p(g, p) == 0:
+        g = gleason_poly(census.d, n)
+        if g.degree >= 1 and discriminant_mod_p(g, census.p) == 0:
             return False
     return True
 
@@ -188,15 +188,13 @@ def correspondence_report(d: int, p: int, precision: int) -> CorrespondenceRepor
     best-effort and the report says so.
     """
     census = enumerate_pcf(d, p)
-    periods = census.observed_periods()
     star_star = next(_star_star_failures(census, None), None) is None
-    disc_clean = _disc_clean_for_all_observed(d, p, periods)
-    guaranteed = p > d and (star_star or disc_clean)
+    guaranteed = p > d and (star_star or _disc_clean_for_all_observed(census))
     if p <= d:
         hypothesis = f"residue characteristic {p} is not larger than the degree {d}"
     elif star_star:
         hypothesis = "simple-root condition holds at every observed period"
-    elif disc_clean:
+    elif guaranteed:
         hypothesis = "p divides no Gleason discriminant at the observed periods"
     else:
         hypothesis = "correspondence not guaranteed"

@@ -432,6 +432,15 @@ class TestInputMapping:
         assert code == 2
         assert "malformed divisibility spec" in doc["payload"]["error"]
 
+    # 9 once printed an empty root list, 0 a ZeroDivisionError traceback, and
+    # 1000001 = 101 * 9901 a failed modular inverse
+    @pytest.mark.parametrize("p", ["9", "0", "1000001"])
+    def test_roots_at_a_non_prime_is_invalid_input(self, capsys, p):
+        code, doc = run_json(capsys, "roots", "--d", "2", "--n", "3", "--p", p)
+        assert code == 2
+        assert doc["status"] == "invalid-input"
+        assert doc["payload"]["error"] == f"{p} is not prime"
+
     def test_witnesses_file_that_is_not_a_map_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "wit.json"
         path.write_text(json.dumps([5, 3]))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from critorbit import (
     resultant,
     roots_mod_p,
 )
+from critorbit.gleason import _divmod_p, _xshift_pow
 
 from oracles import brute_roots, sylvester_discriminant, sylvester_resultant
 
@@ -199,6 +201,42 @@ class TestRootsModP:
             for r, _ in got:
                 assert IntPoly(coeffs).evaluate_mod(r, p) == 0
 
+    # every monic polynomial of degree <= 4 over F_2 and <= 3 over F_3; the
+    # x^p - x gcd reaches degree p, where splitting by (x + a)^((p-1)/2) - 1
+    # cannot separate the roots at p = 2
+    @pytest.mark.parametrize("p,max_degree", [(2, 4), (3, 3)])
+    def test_every_small_polynomial_matches_brute_oracle(self, p, max_degree):
+        for deg in range(1, max_degree + 1):
+            for low in itertools.product(range(p), repeat=deg):
+                coeffs = list(low) + [1]
+                got = roots_mod_p(IntPoly(coeffs), p)
+                assert [r for r, _ in got] == brute_roots(coeffs, p)
+                assert sum(m for _, m in got) <= deg
+                assert has_root_mod_p(IntPoly(coeffs), p) == bool(got)
+
+    @pytest.mark.parametrize(
+        "coeffs,p,expected",
+        [
+            ([0, 1, 1], 2, [(0, 1), (1, 1)]),  # x^2 + x
+            ([0, 0, 1, 1], 2, [(0, 2), (1, 1)]),  # x^2 (x + 1)
+            ([0, 0, 1, 0, 1], 2, [(0, 2), (1, 2)]),  # (x^2 + x)^2
+            ([0, -1, 0, 1], 3, [(0, 1), (1, 1), (2, 1)]),  # x^3 - x
+        ],
+    )
+    def test_gcd_of_degree_p_gives_every_residue(self, coeffs, p, expected):
+        assert roots_mod_p(IntPoly(coeffs), p) == expected
+        assert has_root_mod_p(IntPoly(coeffs), p)
+
+    @pytest.mark.parametrize("p", [10_007, 99_991])
+    def test_brute_oracle_between_1e4_and_1e6(self, p):
+        rng = random.Random(p)
+        for count in (0, 2):
+            poly, _ = _with_chosen_roots(p, count, rng)
+            poly = poly * IntPoly([rng.randrange(p) for _ in range(3)] + [1])
+            got = roots_mod_p(poly, p)
+            assert [r for r, _ in got] == brute_roots(list(poly.coeffs), p)
+            assert has_root_mod_p(poly, p) == bool(got)
+
     def test_large_prime_splitting_path(self):
         p = 1_000_003
         roots = [3, 77, 500_000]
@@ -215,8 +253,9 @@ class TestRootsModP:
         assert roots_mod_p(IntPoly([1, 0, 1]), p) == []
         assert not has_root_mod_p(IntPoly([1, 0, 1]), p)
 
-    # primes on both sides of the brute-force limit of 10^6
-    @pytest.mark.parametrize("p", [101, 7919, 1_000_003, 1_000_033, 2_147_483_647])
+    @pytest.mark.parametrize(
+        "p", [101, 7919, 10_007, 999_983, 1_000_003, 1_000_033, 2_147_483_647]
+    )
     def test_chosen_roots_and_multiplicities(self, p):
         rng = random.Random(p)
         for count in (0, 1, 3):
@@ -234,6 +273,29 @@ class TestRootsModP:
         _, factors = galoistools.gf_factor(high_first, p, ZZ)
         linear = sorted((-int(f[1]) % p, m) for f, m in factors if len(f) == 2)
         assert roots_mod_p(poly, p) == linear == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 2**61 - 1])
+def test_remainder_and_power_match_sympy(p):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def high_first(coeffs):
+        return galoistools.gf_from_int_poly([ZZ(c) for c in reversed(coeffs)], p)
+
+    def low_first(coeffs):
+        return [int(c) for c in reversed(coeffs)]
+
+    rng = random.Random(p)
+    for _ in range(25):
+        # an unreduced dividend and a divisor of degree >= 1, non-monic when p > 2
+        f = [rng.randrange(-p * p, p * p) for _ in range(rng.randrange(12))]
+        g = [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [rng.randrange(1, p)]
+        quot, rem = galoistools.gf_div(high_first(f), high_first(g), p, ZZ)
+        assert _divmod_p(f, g, p) == (low_first(quot), low_first(rem))
+        a, e = rng.randrange(p), rng.choice([0, 1, 2, rng.randrange(p), p])
+        power = galoistools.gf_pow_mod(high_first([a, 1]), e, high_first(g), p, ZZ)
+        assert _xshift_pow(a, e, g, p) == low_first(power)
 
 
 class TestSimpleRoots:

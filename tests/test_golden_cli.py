@@ -7,10 +7,13 @@ before the ``F_p[x]`` helpers were merged, and the automatic-prime and
 inadmissible-prime ``construct`` cases, the cubic ``condition`` cases and the
 wrong-period ``lift`` before the F_p base search was shared, and the five
 deep ``orbit`` cases (growing, attracting and p = 2 cycles) before period
-types over Z/p^t were computed level by level, so a refactor that changes any
-payload byte (key order, number formatting, an answer) fails here.  Together
-the cases cover all 18 subcommands, exit codes 0, 1 and 2, ``density --csv``,
-``certify --check``, rational parameters, root splitting above 10^6 and a
+types over Z/p^t were computed level by level, and the ``roots`` cases at
+p = 2, 3, 99991 and 999983, ``disc --d 2 --n 6`` and the simple-root
+``correspond`` case before roots below 10^6 stopped coming from a scan over
+all residues, so a refactor that changes any payload byte (key order, number
+formatting, an answer) fails here.  Together the cases cover all 18
+subcommands, exit codes 0, 1 and 2, ``density --csv``, ``certify --check``,
+rational parameters, root splitting at primes from 2 to above 10^6 and a
 density scan merged from two worker processes.
 
 Exit code 3 (``exhausted``) is not covered: the only CLI path that raises
@@ -18,8 +21,9 @@ Exit code 3 (``exhausted``) is not covered: the only CLI path that raises
 which scans primes up to 10^6 before giving up, and no cheap input reaches
 that bound.
 
-To re-record after an intended payload change, print
-``_sha(stdout)`` for each case and update the table; say why in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden_cli.py`` prints ``id exit sha256``
+for every case: run it at the parent commit to record new cases, or after an
+intended payload change to re-record the table; say why in CHANGES.md.
 """
 
 import hashlib
@@ -132,12 +136,22 @@ CASES = [
      "7b71c87b21c9a805570722534ae4bf9c9437c85b6dd42cad1e57acf3a4964f8d"),
     ("disc", "disc --d 3 --n 3", 0,
      "2cad71a7c1361c9e4c0780736d3f05a86cdae627379aedf08b0f67f60e80bf0f"),
+    ("disc-quadratic-6", "disc --d 2 --n 6", 0,
+     "1d4b2694ef726cdb46c7cb8a7b01fe987bfead63d8802d6cbba31b2806bba2a6"),
     ("roots", "--seed 7 roots --d 2 --n 3 --p 23", 0,
      "3367cb41442cd299404edc04c88c875258a89d24cd50daa0878293dd954b03d4"),
     ("roots-split-quadratic", "--seed 7 roots --d 2 --n 6 --p 1000183", 0,
      "5d8db50997e45fd199b21fc3ebd2ebe1561517fb54f029e89c174b874b938761"),
     ("roots-split-cubic", "--seed 7 roots --d 3 --n 4 --p 1000213", 0,
      "3fb396a0a9aaff45dde53eca9783da8d92340998996907f053383bfc8c188cc1"),
+    ("roots-double-p2", "--seed 7 roots --d 3 --n 2 --p 2", 0,
+     "35fc97dc3f7912c1094a06da774a5aa2aee84ba8cfd3eb537356fa0e9d2d57b9"),
+    ("roots-p3", "--seed 7 roots --d 3 --n 3 --p 3", 0,
+     "3112fa9755cf9a72ec8d2d60e71badffdda26a7f9aa6ecab1ccefc6d5012593a"),
+    ("roots-split-below-1e6", "--seed 7 roots --d 2 --n 6 --p 99991", 0,
+     "db605a8f9725c4be2b6bea66190fe1ee2bfba1dd4939c749755f9b2966cf51fb"),
+    ("roots-split-999983", "--seed 7 roots --d 2 --n 6 --p 999983", 0,
+     "d75e7bf8887771ece0641c2a16f64f21ae2de01925fc402d3b172d46f7eca901"),
     ("lift", "lift --d 2 --n 3 --p 5 --c0 1 --precision 12", 0,
      "a2b29bb90c6e8275658114e5c5b830f9f6e16149f1689c0a47e404729cdf0277"),
     ("lift-obstruction", "lift --d 2 --n 5 --p 13 --c0 3 --precision 2", 2,
@@ -180,6 +194,8 @@ CASES = [
      "caca001be11cc702c7349a9790073f3c6053ff4c99fb86bd89b5ce7434cc33f9"),
     ("correspond-cubic", "correspond --d 3 --p 11 --precision 8", 0,
      "344de677a79ed7283d311b4d115c37fcb75ebc2278d909d5af792e763ef7decb"),
+    ("correspond-simple-roots", "correspond --d 2 --p 7 --precision 4", 0,
+     "4fac1ee35ba68f035377e105e8e8745676e58bf41d1ed5b27a7c994ed7f400e6"),
     ("density-json", "density --d 2 --n 3 --limit 300", 0,
      "994fe6d675afa9aebb2dfb0a4680f5e9f1d9b6e05eb856174011273b76761e03"),
     ("density-csv", "density --d 3 --n 2 --limit 120 --csv", 0,
@@ -222,11 +238,15 @@ def _argv(command: str, tmp_path) -> list[str]:
     return [word.format(**paths) for word in command.split()]
 
 
+def _write_files(directory):
+    for name, doc in FILES.items():
+        (directory / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return directory
+
+
 @pytest.fixture
 def corpus_dir(tmp_path):
-    for name, doc in FILES.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
-    return tmp_path
+    return _write_files(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -247,3 +267,19 @@ def test_corpus_covers_every_subcommand_and_exit_code():
             for c in CASES}
     assert used == set(subparsers.choices)
     assert {c[2] for c in CASES} == {0, 1, 2}
+
+
+if __name__ == "__main__":
+    # print "id exit sha256" for every case, to record new cases at a parent commit
+    import contextlib
+    import io
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = _write_files(pathlib.Path(tmp))
+        for case_id, command, _, _ in CASES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                got_code = main(_argv(command, directory))
+            print(case_id, got_code, _sha(out.getvalue()))

@@ -7,11 +7,11 @@ the resulting congruences mod p^(k+1) with the CRT.  The combined integer is
 then re-verified constraint by constraint with modular orbits only.
 
 Primes may be pinned per constraint or chosen automatically.  Auto-chosen
-primes avoid the excluded set, primes dividing d, each other, and primes
-dividing the relevant Gleason discriminant; pinned primes are validated but
-may divide d (the construction itself does not need p coprime to d, only the
-period and simple-root conditions, and small-degree cases like d = p = 2 are
-perfectly usable).
+primes avoid the excluded set, primes dividing d and each other; pinned
+primes may divide d (the construction needs only the period and simple-root
+conditions, and cases like d = p = 2 are perfectly usable).  Both kinds are
+screened by disc(G) mod p for the monic period-n Gleason polynomial G while
+deg G <= 128; above that, only the simple-root test screens a base.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .errors import (
 )
 from .gleason import (
     _GLEASON_FEASIBLE_DEGREE,
+    discriminant_mod_p,
     gleason_degree,
-    gleason_discriminant,
     gleason_poly,
     roots_mod_p,
 )
@@ -38,7 +38,8 @@ from .orbit import is_primitive_divisor
 from .pcf import _is_simple_root, _scan
 
 _PRIME_SCAN_CEILING = 10**6
-_DISC_FEASIBLE_DEGREE = 128  # exact integer discriminants get slow beyond
+# disc(G) mod p screens G up to this degree; moving it changes the auto primes
+_DISC_SCREEN_DEGREE = 128
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,11 @@ def _gleason_roots(d: int, n: int, p: int) -> Iterator[int]:
     yield from (r for r, _ in roots_mod_p(gleason_poly(d, n), p))
 
 
-def _admissible_base(d: int, n: int, p: int, disc: int | None) -> int:
+def _admissible_base(d: int, n: int, p: int) -> int:
     """The simple-root base of exact period n at p, where p does not divide
-    ``disc`` (None if too large to compute); raises the error saying why not."""
-    if disc is not None and disc % p == 0:
+    disc(G_{d,n}) (screened up to degree 128); raises the error saying why not."""
+    if (gleason_degree(d, n) <= _DISC_SCREEN_DEGREE
+            and discriminant_mod_p(gleason_poly(d, n), p) == 0):
         raise DiscObstructionError(
             f"pinned prime {p} divides disc of the period-{n} Gleason "
             "polynomial; the exact-power adjustment is not licensed there"
@@ -207,24 +209,17 @@ def find_prime_for_iterate(
     Admissible: not excluded, not dividing d, not dividing the Gleason
     discriminant, and possessing a base with exact period n.
     """
-    disc = _gleason_disc_if_feasible(d, n)
     p = next_prime(n - 1)  # the first prime >= n: periods mod p are <= p
     while p <= ceiling:
         if p not in excluded and d % p != 0:
             try:
-                return p, _admissible_base(d, n, p, disc)
+                return p, _admissible_base(d, n, p)
             except (DiscObstructionError, PrimeNotAdmissibleError):
                 pass
         p = next_prime(p)
     raise SearchExhaustedError(
         f"no admissible prime for iterate {n} within bound {ceiling}", ceiling
     )
-
-
-def _gleason_disc_if_feasible(d: int, n: int) -> int | None:
-    if gleason_degree(d, n) > _DISC_FEASIBLE_DEGREE:
-        return None
-    return gleason_discriminant(d, n)
 
 
 def build_parameter(spec: DivisibilitySpec) -> ConstructionReport:
@@ -236,7 +231,7 @@ def build_parameter(spec: DivisibilitySpec) -> ConstructionReport:
     for constraint in spec.constraints:
         n, p = constraint.n, constraint.p
         if p is not None:
-            c0 = _admissible_base(d, n, p, _gleason_disc_if_feasible(d, n))
+            c0 = _admissible_base(d, n, p)
         else:
             p, c0 = find_prime_for_iterate(d, n, excluded=taken)
             taken.add(p)

@@ -20,10 +20,10 @@ from .orbit import (
     RationalParam,
     _adaptive_valuation,
     _critical_walk,
+    _derivative_walk,
     _iterate_is_exactly_zero,
     is_primitive_divisor,
     iterate_valuation,
-    orbit_with_derivative,
     period_type_mod,
 )
 
@@ -73,53 +73,35 @@ def hensel_lift(d: int, n: int, p: int, c0: int, precision: int) -> LiftResult:
         )
     cap = 4 * (precision + 8)
     nu_f = iterate_valuation(d, c0, n, p, cap=cap)
-    nu_df = _adaptive_valuation(
-        lambda t: orbit_with_derivative(d, Residue.reduce(c0, p, t), n)[1].value, p, cap
-    )
+    nu_df = _adaptive_valuation(lambda t: _derivative_walk(d, c0, p**t, n)[1], p, cap)
     if not nu_f.exact:
-        # f^n(0) vanishes beyond any useful precision; for an integer base in
-        # [0, p) this happens only when it vanishes exactly (c0 = 0, n = 1),
-        # i.e. c0 is already the p-adic root.
+        # f^n(0) vanishes beyond any useful precision; for an integer base
+        # this happens only when it vanishes exactly (c0 = 0 with n = 1, or
+        # c0 = -1 with d even), i.e. c0 is already the p-adic root.
         if not _iterate_is_exactly_zero(d, RationalParam(c0), n):
             raise InternalConsistencyError(
                 f"nu_p(f^{n}(0)) >= {nu_f.value} at c0 = {c0} without an exact zero; "
                 "raise the valuation cap"
             )
-        lifted = Residue.reduce(c0, p, precision)
-        return LiftResult(
-            d=d,
-            n=n,
-            p=p,
-            precision=precision,
-            lifted_value=lifted,
-            shift_valuation=precision,
-            nu_value=nu_f.value,
-            nu_derivative=nu_df.value,
-            base_c0=c0,
-        )
-    if not nu_df.exact or nu_f.value <= 2 * nu_df.value:
+        c, shift = c0, precision
+    elif not nu_df.exact or nu_f.value <= 2 * nu_df.value:
         raise HenselHypothesisError(nu_f.value, nu_df.value)
-    b = nu_df.value
-    working = p ** (precision + b)
-    target = p**precision
-    unit_mod = target
-    shifted = p**b
-    c = c0 % working
-    steps = 0
-    max_steps = precision.bit_length() + _NEWTON_SLACK
-    while True:
-        value, deriv = orbit_with_derivative(d, Residue.reduce(c, p, precision + b), n)
-        if value.value % target == 0:
-            break
-        steps += 1
-        if steps > max_steps:
+    else:
+        b = nu_df.value
+        working, target, shifted = p ** (precision + b), p**precision, p**b
+        c = c0 % working
+        max_steps = precision.bit_length() + _NEWTON_SLACK
+        for _ in range(max_steps + 1):
+            value, deriv = _derivative_walk(d, c, working, n)
+            if value % target == 0:
+                break
+            c = (c - (value // shifted) * pow(deriv // shifted, -1, target)) % working
+        else:
             raise InternalConsistencyError(
                 f"Newton iteration failed to converge within {max_steps} steps"
             )
-        delta = (value.value // shifted) * pow(deriv.value // shifted, -1, unit_mod)
-        c = (c - delta) % working
+        shift = nu_f.value - nu_df.value
     lifted = Residue.reduce(c, p, precision)
-    shift = nu_f.value - nu_df.value
     delta0 = (lifted.value - c0) % p**precision
     if delta0 != 0 and val_p(delta0, p) != shift:
         raise InternalConsistencyError(
@@ -175,8 +157,6 @@ def adjust_power(lift: LiftResult, r: int) -> int:
 def scan_shifts(d: int, n: int, p: int, c0: int) -> list[int]:
     """Exhaustive check of the lift obstruction: values f^n(0) mod p^2 at the
     p candidate shifts c0 + t*p.  All nonzero means no shift lifts to p^2."""
-    out = []
-    for t in range(p):
-        value, _ = orbit_with_derivative(d, Residue.reduce(c0 + t * p, p, 2), n)
-        out.append(value.value)
-    return out
+    if n < 1 or not is_prime(p):
+        raise ValueError(f"need n >= 1 and a prime p, got n = {n}, p = {p}")
+    return [_critical_walk(d, c0 + t * p, p * p, n)[0] for t in range(p)]

@@ -279,15 +279,22 @@ def iterate_valuation(
     """nu_p of the n-th orbit numerator a_n, by adaptive-precision modular orbits.
 
     Starts at precision p^8 and doubles until a_n is nonzero mod p^T; if the
-    cap is reached the result is the flag "at least cap".
+    cap is reached the result is the flag "at least cap".  An a_n that is
+    exactly 0 gets that flag at once.
     """
     param = RationalParam.of(c)
+    if d < 2:
+        raise ValueError("degree must be >= 2")
     if n < 1:
         raise ValueError("iterate index must be >= 1")
+    if cap < 1:
+        raise ValueError("valuation cap must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if param.b % p == 0:
         raise ValueError("p divides the denominator; no numerator valuation at p")
+    if _iterate_is_exactly_zero(d, param, n):
+        return Valuation(cap, False)  # no precision ever shows a nonzero digit
     return _adaptive_valuation(
         lambda t: _critical_walk(d, _reduced_param(param, p**t), p**t, n)[0], p, cap
     )
@@ -316,6 +323,8 @@ def is_primitive_divisor(d: int, c, n: int, p: int) -> tuple[bool, int]:
     Precondition: p does not divide the denominator of c, and a_n != 0.
     """
     param = RationalParam.of(c)
+    if d < 2:
+        raise ValueError("degree must be >= 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if param.b % p == 0:
@@ -346,12 +355,17 @@ def orbit_with_derivative(d: int, c: Residue, n: int) -> tuple[Residue, Residue]
     v <- v^d + c, w <- d * v^(d-1) * w + 1 from (v, w) = (0, 0)."""
     if n < 1:
         raise ValueError("iterate index must be >= 1")
-    modulus = c.modulus
+    v, w = _derivative_walk(d, c.value, c.modulus, n)
+    return Residue(c.p, c.t, v), Residue(c.p, c.t, w)
+
+
+def _derivative_walk(d: int, c: int, modulus: int, n: int) -> tuple[int, int]:
+    """(f^n(0), d/dc f^n(0)) in Z/modulus, in n steps of the coupled recurrence."""
     v, w = 0, 0
     for _ in range(n):
         w = (d * pow(v, d - 1, modulus) * w + 1) % modulus
-        v = _step(v, d, c.value, modulus)
-    return Residue(c.p, c.t, v), Residue(c.p, c.t, w)
+        v = _step(v, d, c, modulus)
+    return v, w
 
 
 def exact_iterate(
@@ -363,6 +377,8 @@ def exact_iterate(
     a_n has roughly d^(n-1) * digits(h(c)) digits.
     """
     param = RationalParam.of(c)
+    if d < 2:
+        raise ValueError("degree must be >= 2")
     if n < 1:
         raise ValueError("iterate index must be >= 1")
     height = max(abs(param.a), param.b, 2)

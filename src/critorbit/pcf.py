@@ -21,7 +21,7 @@ from .gleason import (
     gleason_poly,
 )
 from .lifting import LiftResult, hensel_lift
-from .orbit import PeriodType, orbit_with_derivative, period_type_mod
+from .orbit import PeriodType, _derivative_walk, period_type_mod
 
 
 @dataclass
@@ -74,8 +74,7 @@ def _scan(d: int, p: int, n: int | None = None,
 
 def _is_simple_root(d: int, n: int, p: int, c: int) -> bool:
     """Whether c is a simple root of f^n(0) mod p, as a polynomial in c."""
-    _, deriv = orbit_with_derivative(d, Residue(p, 1, c), n)
-    return deriv.value % p != 0
+    return _derivative_walk(d, c, p, n)[1] != 0
 
 
 def enumerate_pcf(d: int, p: int) -> PcfCensus:

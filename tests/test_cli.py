@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -449,6 +450,60 @@ class TestInputMapping:
         )
         assert code == 2
         assert "malformed witnesses file" in doc["payload"]["error"]
+
+    # -1 once printed a TypeError traceback, 0 a bound that says nothing
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_valuation_cap_below_one_is_invalid_input(self, capsys, cap):
+        code, doc = run_json(
+            capsys, "valuation", "--d", "2", "--c", "3", "--n", "2", "--p", "5", "--cap", cap
+        )
+        assert (code, doc["payload"]["error"]) == (2, "valuation cap must be >= 1")
+
+    # d = 1 once got a complete certificate of claimed order 1, d = 0 a
+    # valuation and d = -2 a failed modular inverse
+    @pytest.mark.parametrize("argv", [
+        "valuation --d 0 --c 3 --n 2 --p 5",
+        "primitive --d -2 --c 3 --n 2 --p 5",
+        "rho --d 1 --c 3 --n 2",
+        "certify --d 1 --c 3 --m 2 --budget 10",
+    ])
+    def test_degree_below_two_is_invalid_input(self, capsys, argv):
+        code, doc = run_json(capsys, *argv.split())
+        assert (code, doc["payload"]["error"]) == (2, "degree must be >= 2")
+
+    def test_check_of_a_degree_one_certificate_is_invalid_input(self, capsys, tmp_path):
+        entry = {
+            "checks": {
+                "prime_coprime_to_degree": True,
+                "primitive": True,
+                "valuation_coprime_to_degree": True,
+            },
+            "valid": True,
+            "valuation": 1,
+        }
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({
+            "d": 1,
+            "c": "3",
+            "m": 2,
+            "entries": [dict(entry, n=1, p="3"), dict(entry, n=2, p="2")],
+            "missing": [],
+            "neg_c_is_square": None,
+        }))
+        code, doc = run_json(capsys, "certify", "--check", str(cert_path))
+        assert (code, doc["payload"]["error"]) == (2, "degree must be >= 2")
+
+    def test_valuation_of_an_exactly_zero_iterate_answers_at_once(self, capsys):
+        # f^3(0) = 0 at c = 0: the cap was once reached by doubling the
+        # precision up to it, which never finished at this cap
+        start = time.perf_counter()
+        code, doc = run_json(
+            capsys, "valuation", "--d", "2", "--c", "0", "--n", "3", "--p", "5",
+            "--cap", "1000000000",
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert (doc["payload"]["valuation"], doc["payload"]["exact"]) == (10**9, False)
 
     @given(spec=_SPECS, cert=_CERTIFICATES)
     @example(spec={"d": float("inf")}, cert={"d": float("inf"), "entries": []})

@@ -101,7 +101,7 @@ class TestFindPrimeForIterate:
         # primes below n cannot carry an orbit of period n, so none is tried
         tried = []
 
-        def no_base(d, n, p, disc):
+        def no_base(d, n, p):
             tried.append(p)
             raise PrimeNotAdmissibleError(f"no base at {p}")
 

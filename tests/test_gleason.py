@@ -10,6 +10,7 @@ from critorbit import (
     discriminant,
     discriminant_mod_p,
     gleason_degree,
+    gleason_discriminant,
     gleason_poly,
     has_root_mod_p,
     is_primitive_divisor,
@@ -148,6 +149,16 @@ class TestResultantAndDiscriminant:
             disc = discriminant(poly)
             for p in primes_up_to(60):
                 assert discriminant_mod_p(poly, p) == disc % p, (n, p)
+
+    # the construction screens primes by disc(G) mod p up to degree 128; G is
+    # monic, so the residue is right at p = 2 and at p | d as well
+    @pytest.mark.parametrize("d,n", [
+        (d, n) for d in (2, 3, 4, 5) for n in range(1, 9) if gleason_degree(d, n) <= 128
+    ])
+    def test_gleason_disc_mod_p_matches_the_integer_discriminant(self, d, n):
+        poly, disc = gleason_poly(d, n), gleason_discriminant(d, n)
+        for p in primes_up_to(199):
+            assert discriminant_mod_p(poly, p) == disc % p, p
 
     def test_disc_mod_p_with_derivative_degree_drop(self):
         # derivative of c^5 + c + 1 drops degree mod 5

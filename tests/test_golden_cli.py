@@ -10,8 +10,11 @@ deep ``orbit`` cases (growing, attracting and p = 2 cycles) before period
 types over Z/p^t were computed level by level, and the ``roots`` cases at
 p = 2, 3, 99991 and 999983, ``disc --d 2 --n 6`` and the simple-root
 ``correspond`` case before roots below 10^6 stopped coming from a scan over
-all residues, so a refactor that changes any payload byte (key order, number
-formatting, an answer) fails here.  Together the cases cover all 18
+all residues, and the exact-zero ``lift`` cases and the period-6 and
+period-8 automatic ``construct`` cases before the construction tested
+p | disc(G) mod p instead of reducing the integer discriminant, so a
+refactor that changes any payload byte (key order, number formatting, an
+answer) fails here.  Together the cases cover all 18
 subcommands, exit codes 0, 1 and 2, ``density --csv``, ``certify --check``,
 rational parameters, root splitting at primes from 2 to above 10^6 and a
 density scan merged from two worker processes.
@@ -93,6 +96,11 @@ FILES = {
     "spec_no_base": _spec(2, [(3, 13, 1)]),
     "spec_disc": _spec(2, [(3, 23, 1)]),
     "spec_double_root": _spec(2, [(9, 137, 1)]),
+    # automatic primes screened by the Gleason discriminant: 13 has a base of
+    # exact period 6 but divides disc(G_{2,6}), so the scan lands on 29; and
+    # a period-8 iterate, whose degree-128 discriminant is screened too
+    "spec_auto_disc": _spec(2, [(6, None, 2)]),
+    "spec_auto_deep": _spec(2, [(8, None, 3)]),
     "cert": CERT,
     "tampered": TAMPERED,
     "witnesses": {"1": "5", "2": "3"},
@@ -158,6 +166,10 @@ CASES = [
      "43ebfb61c45d42b6da0410ae41d2284460b6fba46ee226f87c5dd81537bfc922"),
     ("lift-wrong-period", "lift --d 2 --n 4 --p 5 --c0 1 --precision 3", 2,
      "94f4a85a7eb08ef56ab3c596fe478e79a446b3654ed4ba50b19f08b0e74efeab"),
+    ("lift-exact-zero", "lift --d 2 --n 1 --p 5 --c0 0 --precision 3", 0,
+     "5498f5ff069fbd001880b6f35d18b3d15cee9243089ac52bd674dddffc88a575"),
+    ("lift-exact-zero-even", "lift --d 2 --n 2 --p 5 --c0 -1 --precision 3", 0,
+     "17fbdfccf535ad28aab0da80bddb993dbe99fe3bec620a52978842be21024621"),
     ("adjust", "adjust --d 2 --n 3 --p 5 --c0 1 --r 4", 0,
      "be9a220ddbb99417ad5ef6a5dffdcf0b86b18c3667c8bdacd15a16f545ad55e8"),
     ("construct", "construct --spec {spec}", 0,
@@ -166,6 +178,10 @@ CASES = [
      "82729d8dfb210c45004bcb3e5a74756195da1e4c5d22d4d51533ffb1c403e89d"),
     ("construct-auto-excluded", "construct --spec {spec_auto_excluded}", 0,
      "363833ef8c1651a77015a93b60c5bda1a3c63c0bbf827b7c4a80cba1a54e3b0f"),
+    ("construct-auto-disc", "construct --spec {spec_auto_disc}", 0,
+     "5670644ed49eba28e6359b80c104aeaa040c1e45b489e1898850623e099d48b4"),
+    ("construct-auto-deep", "construct --spec {spec_auto_deep}", 0,
+     "bd6c3f1c4e36f451e1ad71bc6d8d9ce3b06cbfae3bf5e6e499cc1a1fbd1da698"),
     ("construct-no-base", "construct --spec {spec_no_base}", 2,
      "157031832e97916d4d2c296518b9824d475f2a95bb1e3911472f35cb916ed9a5"),
     ("construct-disc", "construct --spec {spec_disc}", 2,

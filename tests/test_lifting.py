@@ -4,6 +4,7 @@ import pytest
 
 from critorbit import (
     HenselHypothesisError,
+    InternalConsistencyError,
     LiftResult,
     Residue,
     adjust_power,
@@ -16,6 +17,7 @@ from critorbit import (
     iterate_valuation,
     scan_shifts,
 )
+from critorbit import lifting
 
 
 class TestHenselLift:
@@ -51,6 +53,18 @@ class TestHenselLift:
         # c0 = 0 is already the exact period-1 parameter at every prime
         result = hensel_lift(2, 1, 5, 0, 3)
         assert result.lifted_value.value == 0
+
+    def test_exact_pcf_base_of_period_two(self):
+        # c0 = -1 with d even: f^2(0) = 0 exactly, so no Newton step runs
+        result = hensel_lift(4, 2, 7, -1, 3)
+        assert result.lifted_value == Residue(7, 3, 342)
+        assert (result.shift_valuation, result.nu_derivative) == (3, 0)
+
+    def test_newton_step_cap_raises(self, monkeypatch):
+        # one evaluation and no step to spare: 1 is not yet a root mod 5^12
+        monkeypatch.setattr(lifting, "_NEWTON_SLACK", -(12).bit_length())
+        with pytest.raises(InternalConsistencyError, match="within 0 steps"):
+            hensel_lift(2, 3, 5, 1, 12)
 
     def test_wrong_period_rejected(self):
         with pytest.raises(ValueError, match="period"):

@@ -200,6 +200,22 @@ class TestIterateValuation:
         c = 3**17 - 1
         assert iterate_valuation(2, c, 2, 3) == (17, True)
 
+    def test_exact_zero_answers_the_cap_at_once(self):
+        # no precision reaches a nonzero digit, so none is tried
+        assert iterate_valuation(2, 0, 3, 5, cap=10**9) == (10**9, False)
+        assert iterate_valuation(4, -1, 6, 7, cap=10**9) == (10**9, False)
+
+
+@pytest.mark.parametrize("d", [-2, 0, 1])
+def test_degree_below_two_rejected(d):
+    for call in (
+        lambda: iterate_valuation(d, 3, 2, 5),
+        lambda: is_primitive_divisor(d, 3, 2, 5),
+        lambda: exact_iterate(d, 3, 2),
+    ):
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            call()
+
 
 class TestIsPrimitiveDivisor:
     def test_five_at_three(self):

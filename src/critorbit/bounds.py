@@ -263,7 +263,7 @@ def _search_witness(
     except SizeGuardError:
         a_n = None
     if a_n is not None and abs(a_n) > 1:
-        rho = 200_000 if len(str(abs(a_n))) <= 120 else 0
+        rho = 200_000 if abs(a_n) < 10**120 else 0
         fact = factorize(abs(a_n), rho_iterations=rho)
         for p in fact.primes():
             if d % p == 0:

@@ -8,10 +8,13 @@ Every subcommand prints a single JSON document to stdout:
 
 with exit codes 0/1/2/3/4 respectively.  "internal-error" means a self-check
 that must always hold failed (``InternalConsistencyError``): a bug, reported
-with its message instead of a traceback.  Big integers are decimal strings
-throughout the payload.  Output is byte-stable for fixed inputs; ``--meta``
-adds a sibling "meta" object (timestamp, version) without touching the
-payload.  ``--csv`` switches the density scan to per-prime CSV rows.
+with its message instead of a traceback.  Usage errors (a missing or
+unparsable flag, an unknown subcommand) are "invalid-input" documents on
+stdout too, with nothing on stderr; only ``--help`` prints plain text.  Big
+integers are decimal strings throughout the payload.  Output is byte-stable
+for fixed inputs; ``--meta`` adds a sibling "meta" object (timestamp,
+version) without touching the payload.  ``--csv`` switches the density scan
+to per-prime CSV rows.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ def _cmd_lift(args) -> tuple[str, dict]:
 
 
 def _cmd_adjust(args) -> tuple[str, dict]:
-    precision = args.precision if args.precision else args.r + 2
+    precision = args.precision or args.r + 2
     lift = hensel_lift(args.d, args.n, args.p, _parse_int(args.c0), precision)
     c_r = adjust_power(lift, args.r)
     return OK, {
@@ -160,21 +163,20 @@ def _cmd_adjust(args) -> tuple[str, dict]:
     }
 
 
-def _load_spec(path: str) -> DivisibilitySpec:
+def _read_json(path: str):
     with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return DivisibilitySpec.from_json_dict(doc)
+        return json.load(handle)
 
 
 def _cmd_construct(args) -> tuple[str, dict]:
-    spec = _load_spec(args.spec)
+    spec = DivisibilitySpec.from_json_dict(_read_json(args.spec))
     report = build_parameter(spec)
     status = OK if report.all_verified else VERIFICATION_FAILED
     return status, report.to_json_dict()
 
 
 def _cmd_verify(args) -> tuple[str, dict]:
-    spec = _load_spec(args.spec)
+    spec = DivisibilitySpec.from_json_dict(_read_json(args.spec))
     checks = verify_spec(args.d, _parse_int(args.c), spec)
     payload = {
         "d": args.d,
@@ -247,8 +249,7 @@ def _cmd_rho(args) -> tuple[str, dict]:
 
 def _cmd_certify(args) -> tuple[str, dict]:
     if args.check:
-        with open(args.check, encoding="utf-8") as handle:
-            cert = MaximalityCertificate.from_json_dict(json.load(handle))
+        cert = MaximalityCertificate.from_json_dict(_read_json(args.check))
         ok = verify_certificate(cert)
         return (OK if ok else VERIFICATION_FAILED), {
             "checked": cert.to_json_dict(),
@@ -258,10 +259,8 @@ def _cmd_certify(args) -> tuple[str, dict]:
         raise ValueError("certify needs --d, --c and --m (or --check FILE)")
     witnesses = None
     if args.witnesses:
-        with open(args.witnesses, encoding="utf-8") as handle:
-            raw = json.load(handle)
         try:
-            witnesses = {int(n): int(p) for n, p in raw.items()}
+            witnesses = {int(n): int(p) for n, p in _read_json(args.witnesses).items()}
         except (AttributeError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed witnesses file: {exc}") from exc
     cert = maximality_certificate(
@@ -281,8 +280,26 @@ def _cmd_factor(args) -> tuple[str, dict]:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so they reach the JSON channel as invalid input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+# every required flag, defined once for all the subcommands that take it; the
+# handlers parse the text flags
+_REQUIRED_FLAGS = {
+    **{flag: {"type": int} for flag in ("d", "n", "p", "precision", "r", "limit")},
+    "c": {"help": "integer, or a/b where a rational parameter is allowed"},
+    "c0": {},
+    "spec": {"help": "JSON spec file"},
+    "x": {},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critorbit",
         description="Critical-orbit arithmetic for x^d + c over residue rings",
     )
@@ -290,101 +307,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--meta", action="store_true", help="attach run metadata")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, flags, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
+        for flag in flags.split():
+            cmd.add_argument(f"--{flag}", required=True, **_REQUIRED_FLAGS[flag])
         return cmd
 
-    cmd = add("orbit", _cmd_orbit, "period type of the critical orbit in Z/p^t")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--p", type=int, required=True)
+    cmd = add("orbit", _cmd_orbit, "d p c", "period type of the critical orbit in Z/p^t")
     cmd.add_argument("--t", type=int, default=1)
-    cmd.add_argument("--c", required=True)
-
-    cmd = add("valuation", _cmd_valuation, "nu_p of the n-th orbit numerator")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--c", required=True)
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--p", type=int, required=True)
+    cmd = add("valuation", _cmd_valuation, "d c n p", "nu_p of the n-th orbit numerator")
     cmd.add_argument("--cap", type=int, default=1 << 16)
-
-    cmd = add("primitive", _cmd_primitive, "primitive-divisor test with valuation")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--c", required=True, help="integer or a/b")
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--p", type=int, required=True)
-
-    cmd = add("gleason", _cmd_gleason, "period-n Gleason polynomial coefficients")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-
-    cmd = add("disc", _cmd_disc, "discriminant of the period-n Gleason polynomial")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-
-    cmd = add("roots", _cmd_roots, "its F_p roots with multiplicities")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--p", type=int, required=True)
-
-    cmd = add("lift", _cmd_lift, "Newton-lift a base parameter to Z/p^N")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--c0", required=True)
-    cmd.add_argument("--precision", type=int, required=True)
-
-    cmd = add("adjust", _cmd_adjust, "lift then force nu_p(f^n(0)) = r exactly")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--c0", required=True)
-    cmd.add_argument("--r", type=int, required=True)
+    add("primitive", _cmd_primitive, "d c n p", "primitive-divisor test with valuation")
+    add("gleason", _cmd_gleason, "d n", "period-n Gleason polynomial coefficients")
+    add("disc", _cmd_disc, "d n", "discriminant of the period-n Gleason polynomial")
+    add("roots", _cmd_roots, "d n p", "its F_p roots with multiplicities")
+    add("lift", _cmd_lift, "d n p c0 precision", "Newton-lift a base parameter to Z/p^N")
+    cmd = add("adjust", _cmd_adjust, "d n p c0 r",
+              "lift then force nu_p(f^n(0)) = r exactly")
     cmd.add_argument("--precision", type=int, default=None)
-
-    cmd = add("construct", _cmd_construct, "build c realizing a divisibility spec")
-    cmd.add_argument("--spec", required=True, help="JSON spec file")
-
-    cmd = add("verify", _cmd_verify, "verify a claimed (c, spec) pair")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--c", required=True)
-    cmd.add_argument("--spec", required=True)
-
-    cmd = add("pcf", _cmd_pcf, "census of critically finite parameters over F_p")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--p", type=int, required=True)
-
-    cmd = add("condition", _cmd_condition, "simple-root condition checks")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--p", type=int, required=True)
+    add("construct", _cmd_construct, "spec", "build c realizing a divisibility spec")
+    add("verify", _cmd_verify, "d c spec", "verify a claimed (c, spec) pair")
+    add("pcf", _cmd_pcf, "d p", "census of critically finite parameters over F_p")
+    cmd = add("condition", _cmd_condition, "d p", "simple-root condition checks")
     cmd.add_argument("--n", type=int, default=None)
     cmd.add_argument("--max-period", type=int, default=None)
-
-    cmd = add("correspond", _cmd_correspond, "lifted census in Z/p^N")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--precision", type=int, required=True)
-
-    cmd = add("density", _cmd_density, "prime-density formulas and empirical scan")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--limit", type=int, required=True)
+    add("correspond", _cmd_correspond, "d p precision", "lifted census in Z/p^N")
+    cmd = add("density", _cmd_density, "d n limit",
+              "prime-density formulas and empirical scan")
     cmd.add_argument("--json", action="store_true", help="JSON report (the default)")
     cmd.add_argument("--csv", action="store_true")
     cmd.add_argument("--threads", type=int, default=1)
-
-    cmd = add("bound", _cmd_bound, "upper bound on the primitive-prime count")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--c", required=True)
-
-    cmd = add("rho", _cmd_rho, "count primitive primes by factoring a_n")
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--c", required=True)
-    cmd.add_argument("--n", type=int, required=True)
+    add("bound", _cmd_bound, "d n c", "upper bound on the primitive-prime count")
+    cmd = add("rho", _cmd_rho, "d c n", "count primitive primes by factoring a_n")
     cmd.add_argument("--budget", type=int, default=200_000)
 
-    cmd = add("certify", _cmd_certify, "Galois-maximality witness certificate")
+    cmd = add("certify", _cmd_certify, "", "Galois-maximality witness certificate")
     cmd.add_argument("--d", type=int, default=None)
     cmd.add_argument("--c", default=None)
     cmd.add_argument("--m", type=int, default=None)
@@ -392,21 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--budget", type=int, default=100_000)
     cmd.add_argument("--check", default=None, help="re-verify a certificate JSON file")
 
-    cmd = add("factor", _cmd_factor, "bounded integer factorization")
-    cmd.add_argument("--x", required=True)
+    cmd = add("factor", _cmd_factor, "x", "bounded integer factorization")
     cmd.add_argument("--budget", type=int, default=200_000)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # print and read integers of any length
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.seed is not None:
-        set_random_seed(args.seed)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
+        if args.seed is not None:
+            set_random_seed(args.seed)
         outcome = args.handler(args)
     except HenselHypothesisError as exc:
         outcome = (
@@ -421,21 +377,21 @@ def main(argv: list[str] | None = None) -> int:
         outcome = (EXHAUSTED, {"error": str(exc), "bound": exc.bound})
     except InternalConsistencyError as exc:
         outcome = (INTERNAL_ERROR, {"error": str(exc)})
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # usage errors and malformed input
         outcome = (INVALID_INPUT, {"error": str(exc)})
     status, payload = outcome
     doc = {"status": status, "payload": payload}
-    if args.meta:
+    if getattr(args, "meta", False):
         doc["meta"] = {
             "version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
+    if isinstance(payload, str):  # CSV rows, printed as they are
+        text = payload
+    else:
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     try:
-        if isinstance(payload, str):  # CSV rows, printed as they are
-            sys.stdout.write(payload)
-        else:
-            json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-            sys.stdout.write("\n")
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early (`| head`); point stdout at devnull

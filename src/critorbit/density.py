@@ -76,6 +76,12 @@ def _scan(d: int, n: int, primes: list[int]) -> list[tuple[int, bool | None]]:
     ]
 
 
+def _primes(limit: int) -> list[int]:
+    if limit < 2:
+        raise ValueError("limit must be >= 2")
+    return primes_up_to(limit)
+
+
 def empirical_density(d: int, n: int, limit: int, jobs: int = 1) -> EmpiricalDensity:
     """Fraction of primes p <= limit where the period-n Gleason polynomial has
     an F_p root.  Primes dividing d or the discriminant are excluded from both
@@ -84,9 +90,7 @@ def empirical_density(d: int, n: int, limit: int, jobs: int = 1) -> EmpiricalDen
     ``jobs`` > 1 splits the prime range into contiguous chunks scanned in
     worker processes; the ordered merge keeps the result deterministic.
     """
-    if limit < 2:
-        raise ValueError("limit must be >= 2")
-    primes = primes_up_to(limit)
+    primes = _primes(limit)
     if jobs <= 1 or len(primes) < 4 * jobs:
         rows = _scan(d, n, primes)
     else:
@@ -105,7 +109,7 @@ def empirical_density(d: int, n: int, limit: int, jobs: int = 1) -> EmpiricalDen
 
 def density_scan_rows(d: int, n: int, limit: int) -> list[tuple[int, bool]]:
     """Per-prime (p, has_root) rows for external plotting; same skip rule."""
-    return [(p, hit) for p, hit in _scan(d, n, primes_up_to(limit)) if hit is not None]
+    return [(p, hit) for p, hit in _scan(d, n, _primes(limit)) if hit is not None]
 
 
 @dataclass(frozen=True)

@@ -261,8 +261,9 @@ def _multiplier(d: int, c: int, modulus: int, y: int, k: int) -> int:
     """(f^k)'(y) = prod of d * f^i(y)^(d-1) over i < k, in Z/modulus."""
     lam = pow(d, k, modulus)
     for _ in range(k):
-        lam = lam * pow(y, d - 1, modulus) % modulus
-        y = _step(y, d, c, modulus)
+        power = pow(y, d - 1, modulus)
+        lam = lam * power % modulus
+        y = (power * y + c) % modulus
     return lam
 
 
@@ -363,8 +364,9 @@ def _derivative_walk(d: int, c: int, modulus: int, n: int) -> tuple[int, int]:
     """(f^n(0), d/dc f^n(0)) in Z/modulus, in n steps of the coupled recurrence."""
     v, w = 0, 0
     for _ in range(n):
-        w = (d * pow(v, d - 1, modulus) * w + 1) % modulus
-        v = _step(v, d, c, modulus)
+        power = pow(v, d - 1, modulus)
+        w = (d * power * w + 1) % modulus
+        v = (power * v + c) % modulus
     return v, w
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -16,6 +17,8 @@ from critorbit import (
     rho_upper_bound_general,
     verify_certificate,
 )
+from critorbit import bounds
+from critorbit.arith import Factorization
 from critorbit.bounds import euler_phi
 from test_acceptance import C29, PRIMES_29
 
@@ -242,6 +245,28 @@ class TestMaximalityCertificate:
     def test_square_note(self):
         cert = maximality_certificate(2, -4, 1, scan_budget=10)
         assert cert.neg_c_is_square is True
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_witness_search_sizes_a_n_under_the_default_int_to_str_limit(monkeypatch):
+    # a_14 at c = 3 has 4,439 digits; sizing it by its decimal string raised
+    # ValueError under the interpreter's default limit, which the CLI lifts
+    budgets = []
+
+    def factorize_stub(x, rho_iterations):
+        budgets.append(rho_iterations)
+        return Factorization(factors=(), cofactor=x, complete=False)
+
+    monkeypatch.setattr(bounds, "factorize", factorize_stub)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # cli.main lifts it for the whole process
+    try:
+        assert bounds._search_witness(2, 3, 14, scan_budget=0) is None
+        assert bounds._search_witness(2, 3, 3, scan_budget=0) is None
+    finally:
+        sys.set_int_max_str_digits(saved)
+    # rho only below 120 digits: none for a_14, the full budget for a_3 = 147
+    assert budgets == [0, 200_000]
 
 
 class TestEulerPhi:

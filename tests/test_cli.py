@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from critorbit import DivisibilitySpec, InternalConsistencyError, MaximalityCertificate
 from critorbit import constructor
-from critorbit.cli import main
+from critorbit.cli import build_parser, main
 from test_acceptance import C29
 from test_bounds import published_valid_entries
 
@@ -267,6 +267,12 @@ class TestDensityOutput:
         assert "5,1" in lines
         assert all(not line.startswith("2,") for line in lines[1:])
 
+    # the CSV rows once skipped the check and printed a bare header with exit 0
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
+    def test_limit_below_two_is_invalid_input(self, capsys, fmt):
+        code, doc = run_json(capsys, "density", "--d", "2", "--n", "3", "--limit", "1", *fmt)
+        assert (code, doc["payload"]["error"]) == (2, "limit must be >= 2")
+
 
 class TestOutputStability:
     def test_byte_stable(self, capsys):
@@ -314,6 +320,79 @@ class TestClosedPipe:
         assert len(head) == 100
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+
+class TestUsageErrors:
+    # argparse once printed these on stderr and exited 2 with no JSON document
+    @pytest.mark.parametrize("argv,error", [
+        ("valuation --d x --c 1 --n 2 --p 5", "argument --d: invalid int value: 'x'"),
+        ("valuation --c 1 --n 2 --p 5", "the following arguments are required: --d"),
+        ("bogus --d 2", "argument command: invalid choice: 'bogus'"),
+        ("--seed x gleason --d 2 --n 3", "argument --seed: invalid int value: 'x'"),
+        ("lift --d 2 --n 3 --p 5 --c0 1 --precision x",
+         "argument --precision: invalid int value: 'x'"),
+        ("--meta gleason --d 2 --n 3 --extra 1", "unrecognized arguments: --extra 1"),
+    ], ids=["unparsable", "missing", "unknown-subcommand", "global-flag",
+            "lift-precision", "unknown-flag"])
+    def test_usage_error_is_an_invalid_input_document(self, capsys, argv, error):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert (code, doc["status"], captured.err) == (2, "invalid-input", "")
+        assert doc["payload"]["error"].startswith(error)
+        assert "meta" not in doc  # attached only to arguments that parsed
+
+    def test_usage_error_of_a_cli_process_leaves_stderr_empty(self):
+        proc = _run_cli_process(["valuation", "--d", "x", "--c", "1", "--n", "2", "--p", "5"],
+                                timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, b"")
+        assert json.loads(proc.stdout)["status"] == "invalid-input"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["lift", "--help"]])
+    def test_help_prints_text_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: critorbit")
+
+
+# each subcommand's flags and the types they parsed to before the shared
+# flags were defined once
+FLAG_TYPES = {
+    "orbit": {"d": int, "p": int, "t": int, "c": str},
+    "valuation": {"d": int, "c": str, "n": int, "p": int, "cap": int},
+    "primitive": {"d": int, "c": str, "n": int, "p": int},
+    "gleason": {"d": int, "n": int},
+    "disc": {"d": int, "n": int},
+    "roots": {"d": int, "n": int, "p": int},
+    "lift": {"d": int, "n": int, "p": int, "c0": str, "precision": int},
+    "adjust": {"d": int, "n": int, "p": int, "c0": str, "r": int, "precision": int},
+    "construct": {"spec": str},
+    "verify": {"d": int, "c": str, "spec": str},
+    "pcf": {"d": int, "p": int},
+    "condition": {"d": int, "p": int, "n": int, "max_period": int},
+    "correspond": {"d": int, "p": int, "precision": int},
+    "density": {"d": int, "n": int, "limit": int, "json": bool, "csv": bool, "threads": int},
+    "bound": {"d": int, "n": int, "c": str},
+    "rho": {"d": int, "c": str, "n": int, "budget": int},
+    "certify": {"d": int, "c": str, "m": int, "witnesses": str, "budget": int, "check": str},
+    "factor": {"x": str, "budget": int},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_TYPES))
+def test_every_flag_parses_to_its_type(command):
+    types = FLAG_TYPES[command]
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    flags = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+    assert flags == set(types)
+    argv = [command]
+    for dest, kind in types.items():
+        flag = "--" + dest.replace("_", "-")
+        argv += [flag] if kind is bool else [flag, "7"]
+    args = parser.parse_args(argv)
+    assert {dest: type(getattr(args, dest)) for dest in types} == types
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from critorbit import (
     build_parameter,
     find_base,
     find_prime_for_iterate,
+    gleason_poly,
     primes_up_to,
     verify_spec,
 )
@@ -75,6 +76,26 @@ def test_find_base_is_the_first_parameter_of_exact_period(d):
         for n in range(1, 8):
             expected = next((c for c, walk in enumerate(walks) if walk == (0, n)), None)
             assert find_base(d, n, p) == expected, (p, n)
+
+
+@pytest.mark.parametrize("p", [1_000_003, 1_000_033])
+@pytest.mark.parametrize("d", [2, 3])
+def test_find_base_above_1e6_is_the_first_gleason_root_of_exact_period(d, p):
+    # above 10^6 the base search takes the Gleason roots mod p instead of
+    # scanning every residue; sympy gives the roots independently, as the
+    # linear factors of gcd(G, x^p - x)
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    x = [ZZ(1), ZZ(0)]
+    for n in range(1, 7):
+        g = [ZZ(c % p) for c in reversed(gleason_poly(d, n).coeffs)]
+        x_p = galoistools.gf_pow_mod(x, p, g, p, ZZ)
+        split = galoistools.gf_gcd(g, galoistools.gf_sub(x_p, x, p, ZZ), p, ZZ)
+        _, factors = galoistools.gf_factor(split, p, ZZ)
+        roots = sorted(-int(f[1]) % p for f, _ in factors)
+        expected = next((r for r in roots if orbit_walk(d, r, p) == (0, n)), None)
+        assert find_base(d, n, p) == expected, n
 
 
 class TestFindPrimeForIterate:

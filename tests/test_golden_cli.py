@@ -12,10 +12,12 @@ p = 2, 3, 99991 and 999983, ``disc --d 2 --n 6`` and the simple-root
 ``correspond`` case before roots below 10^6 stopped coming from a scan over
 all residues, and the exact-zero ``lift`` cases and the period-6 and
 period-8 automatic ``construct`` cases before the construction tested
-p | disc(G) mod p instead of reducing the integer discriminant, so a
-refactor that changes any payload byte (key order, number formatting, an
-answer) fails here.  Together the cases cover all 18
-subcommands, exit codes 0, 1 and 2, ``density --csv``, ``certify --check``,
+p | disc(G) mod p instead of reducing the integer discriminant, and the two
+``construct`` cases with pinned primes above 10^6 (the Gleason-root branch
+of the base search) before the CLI's parser was rebuilt from one flag table,
+so a refactor that changes any payload byte (key order, number formatting,
+an answer) fails here.  Together the cases cover all 18 subcommands, exit
+codes 0, 1 and 2, ``density --csv``, ``certify --check``,
 rational parameters, root splitting at primes from 2 to above 10^6 and a
 density scan merged from two worker processes.
 
@@ -101,6 +103,11 @@ FILES = {
     # a period-8 iterate, whose degree-128 discriminant is screened too
     "spec_auto_disc": _spec(2, [(6, None, 2)]),
     "spec_auto_deep": _spec(2, [(8, None, 3)]),
+    # pinned primes above 10^6, where the base search takes the Gleason roots
+    # mod p instead of scanning every residue: two bases that lift, and a
+    # prime with no base of exact period 3
+    "spec_large": _spec(2, [(4, 1000033, 2), (5, 1000003, 1)]),
+    "spec_no_base_large": _spec(2, [(3, 1000003, 1)]),
     "cert": CERT,
     "tampered": TAMPERED,
     "witnesses": {"1": "5", "2": "3"},
@@ -182,6 +189,10 @@ CASES = [
      "5670644ed49eba28e6359b80c104aeaa040c1e45b489e1898850623e099d48b4"),
     ("construct-auto-deep", "construct --spec {spec_auto_deep}", 0,
      "bd6c3f1c4e36f451e1ad71bc6d8d9ce3b06cbfae3bf5e6e499cc1a1fbd1da698"),
+    ("construct-pinned-large-primes", "construct --spec {spec_large}", 0,
+     "46e2378acd7dbf810812e4eacb12e5490b4604e36793db7711a3c1f1fe3028bb"),
+    ("construct-no-base-large", "construct --spec {spec_no_base_large}", 2,
+     "553c7bf98e41d9faf2f36d11ef27d9b3907399298e148176dca9d8caf2bfb433"),
     ("construct-no-base", "construct --spec {spec_no_base}", 2,
      "157031832e97916d4d2c296518b9824d475f2a95bb1e3911472f35cb916ed9a5"),
     ("construct-disc", "construct --spec {spec_disc}", 2,

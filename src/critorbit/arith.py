@@ -172,9 +172,7 @@ class Factorization:
 
 
 def _brent_rho(n: int, max_iterations: int) -> int | None:
-    """Brent's variant of Pollard rho; returns a nontrivial factor or None."""
-    if n % 2 == 0:
-        return 2
+    """Brent's variant of Pollard rho on odd n; a nontrivial factor or None."""
     spent = 0
     while spent < max_iterations:
         y = _rng.randrange(1, n)
@@ -236,9 +234,7 @@ def factorize(x: int, trial_limit: int = 10**6, rho_iterations: int = 200_000) -
     cofactor = 1
     pending = [rest] if rest > 1 else []
     while pending:
-        m = pending.pop()
-        if m == 1:
-            continue
+        m = pending.pop()  # always > 1
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

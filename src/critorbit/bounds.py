@@ -77,11 +77,10 @@ def rho_upper_bound(d: int, n: int, c) -> float:
             return scale * (3 + log_b) - 1
         if a < 0:
             return (scale - 1) * log_b + log_a1
-    if 0 < a < b:
+    # a > 0 here: c = 0 is critically finite, and a < 0 returned or was mirrored
+    if a < b:
         return (scale - 1) * (1 / (d - 1) + log_b) + log_a1
-    if a >= b:
-        return scale * (1 / (d - 1) + log_a1) - 1 / (d - 1)
-    return rho_upper_bound_general(d, n, param)
+    return scale * (1 / (d - 1) + log_a1) - 1 / (d - 1)
 
 
 def rho_upper_bound_general(d: int, n: int, c) -> float:

@@ -71,7 +71,7 @@ def _scan(d: int, n: int, primes: list[int]) -> list[tuple[int, bool | None]]:
     disc = gleason_discriminant(d, n)
     return [
         (p, None if d % p == 0 or disc % p == 0
-         else poly.degree >= 1 and has_root_mod_p(poly, p))
+         else has_root_mod_p(poly, p))
         for p in primes
     ]
 

@@ -138,6 +138,8 @@ def iterate_poly(d: int, n: int) -> IntPoly:
 @lru_cache(maxsize=None)
 def gleason_poly(d: int, n: int) -> IntPoly:
     """The Moebius quotient prod_{t|n} (f^t(0))^{mu(n/t)}, divided exactly."""
+    if d < 2 or n < 1:
+        raise ValueError("need d >= 2 and n >= 1")
     numerator = IntPoly([1])
     denominator = IntPoly([1])
     for t in range(1, n + 1):
@@ -152,11 +154,8 @@ def gleason_poly(d: int, n: int) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def gleason_discriminant(d: int, n: int) -> int:
-    """Cached discriminant of the period-n Gleason polynomial (1 for degree < 1)."""
-    poly = gleason_poly(d, n)
-    if poly.degree < 1:
-        return 1
-    return discriminant(poly)
+    """Cached discriminant of the period-n Gleason polynomial."""
+    return discriminant(gleason_poly(d, n))
 
 
 def gleason_degree(d: int, n: int) -> int:
@@ -229,10 +228,9 @@ def _xshift_pow(a: int, e: int, g: list[int], p: int) -> list[int]:
 
 
 def _resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
-    """Res(f, g) in F_p by the Euclidean remainder recurrence."""
-    f, g = _strip(f[:]), _strip(g[:])
-    if not f or not g:
-        return 0
+    """Res(f, g) in F_p by the Euclidean remainder recurrence.
+
+    f and g are nonzero and stripped; neither list is modified."""
     res = 1
     while True:
         if len(g) == 1:

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from .arith import Residue, is_prime, val_p
 from .errors import HenselHypothesisError, InternalConsistencyError
 from .orbit import (
-    RationalParam,
     _adaptive_valuation,
     _critical_walk,
     _derivative_walk,
-    _iterate_is_exactly_zero,
     is_primitive_divisor,
     iterate_valuation,
     period_type_mod,
@@ -75,14 +73,8 @@ def hensel_lift(d: int, n: int, p: int, c0: int, precision: int) -> LiftResult:
     nu_f = iterate_valuation(d, c0, n, p, cap=cap)
     nu_df = _adaptive_valuation(lambda t: _derivative_walk(d, c0, p**t, n)[1], p, cap)
     if not nu_f.exact:
-        # f^n(0) vanishes beyond any useful precision; for an integer base
-        # this happens only when it vanishes exactly (c0 = 0 with n = 1, or
-        # c0 = -1 with d even), i.e. c0 is already the p-adic root.
-        if not _iterate_is_exactly_zero(d, RationalParam(c0), n):
-            raise InternalConsistencyError(
-                f"nu_p(f^{n}(0)) >= {nu_f.value} at c0 = {c0} without an exact zero; "
-                "raise the valuation cap"
-            )
+        # p^cap divides f^n(c0) and cap > precision: c0 is already the root
+        # mod p^precision (an exact zero, or a base lifted past the cap)
         c, shift = c0, precision
     elif not nu_df.exact or nu_f.value <= 2 * nu_df.value:
         raise HenselHypothesisError(nu_f.value, nu_df.value)

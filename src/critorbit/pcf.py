@@ -14,12 +14,6 @@ from dataclasses import dataclass, field
 
 from .arith import Residue, is_prime
 from .errors import HenselHypothesisError
-from .gleason import (
-    _GLEASON_FEASIBLE_DEGREE,
-    discriminant_mod_p,
-    gleason_degree,
-    gleason_poly,
-)
 from .lifting import LiftResult, hensel_lift
 from .orbit import PeriodType, _derivative_walk, period_type_mod
 
@@ -168,33 +162,22 @@ class CorrespondenceReport:
         }
 
 
-def _disc_clean_for_all_observed(census: PcfCensus) -> bool:
-    for n in census.observed_periods():
-        if gleason_degree(census.d, n) > _GLEASON_FEASIBLE_DEGREE:
-            return False
-        g = gleason_poly(census.d, n)
-        if g.degree >= 1 and discriminant_mod_p(g, census.p) == 0:
-            return False
-    return True
-
-
 def correspondence_report(d: int, p: int, precision: int) -> CorrespondenceReport:
     """Lift every periodic parameter of F_p to its Z/p^N approximation.
 
-    The correspondence is guaranteed one-to-one when p > d and either the
-    simple-root condition holds at every observed period or p divides none of
-    the relevant Gleason discriminants; otherwise lifts are attempted
-    best-effort and the report says so.
+    The correspondence is guaranteed one-to-one when p > d and the simple-root
+    condition holds at every observed period; otherwise lifts are attempted
+    best-effort and the report says so.  The Gleason discriminant adds
+    nothing: at a base of exact period n, (f^n(0))' = G_{d,n}' times a unit,
+    so a simple-root failure is a double root of G_{d,n} and p | disc(G_{d,n}).
     """
     census = enumerate_pcf(d, p)
     star_star = next(_star_star_failures(census, None), None) is None
-    guaranteed = p > d and (star_star or _disc_clean_for_all_observed(census))
+    guaranteed = p > d and star_star
     if p <= d:
         hypothesis = f"residue characteristic {p} is not larger than the degree {d}"
     elif star_star:
         hypothesis = "simple-root condition holds at every observed period"
-    elif guaranteed:
-        hypothesis = "p divides no Gleason discriminant at the observed periods"
     else:
         hypothesis = "correspondence not guaranteed"
     entries = []

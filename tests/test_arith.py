@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +162,28 @@ class TestPrimality:
         assert next_prime(2) == 3
         assert next_prime(13) == 17
         assert next_prime(1) == 2
+
+
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(18)
+    # a low trial limit leaves most of the splitting to rho
+    cases = [(rng.randrange(2, 10**18), 10**4) for _ in range(80)]
+    # squares of primes above 10^6: trial division stops short of the root, so
+    # the perfect-square branch splits them; then two primes only rho splits
+    cases += [(int(sympy.nextprime(rng.randrange(10**6, 10**9))) ** 2, 10**6) for _ in range(10)]
+    cases += [(int(sympy.nextprime(rng.randrange(10**6, 10**9)) * sympy.nextprime(10**6 + k)), 10**6)
+              for k in range(10)]
+    for x, trial_limit in cases:
+        fact = factorize(x, trial_limit=trial_limit)
+        assert fact.complete and fact.factors == tuple(sorted(sympy.factorint(x).items())), x
+
+
+def test_is_prime_matches_sympy_around_the_deterministic_bound():
+    sympy = pytest.importorskip("sympy")
+    bound = 3_317_044_064_679_887_385_961_981  # a strong pseudoprime to bases 2..37
+    for n in range(bound - 1000, bound + 1000):
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 class TestResidue:

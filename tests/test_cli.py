@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -94,6 +95,31 @@ class TestBasicCommands:
         assert code == 0
         assert doc["payload"]["c"] == "41"
 
+    # the 5^60 lift of 1, a root of f^3(0) far beyond the valuation cap
+    DEEP_BASE = "319968426936649516208104850221742863217016"
+
+    def test_lift_from_a_base_past_the_cap(self, capsys):
+        code, doc = run_json(
+            capsys,
+            "lift", "--d", "2", "--n", "3", "--p", "5", "--c0", self.DEEP_BASE,
+            "--precision", "3",
+        )
+        assert (code, doc["payload"]["value"]) == (0, "16")
+
+    def test_adjust_from_a_base_past_the_cap(self, capsys):
+        code, doc = run_json(
+            capsys,
+            "adjust", "--d", "2", "--n", "3", "--p", "5", "--c0", self.DEEP_BASE,
+            "--r", "2",
+        )
+        assert (code, doc["payload"]["c"]) == (0, "41")
+
+    @pytest.mark.parametrize("argv", ["gleason --d 1 --n -2", "roots --d 2 --n 0 --p 5"])
+    def test_gleason_period_below_one_is_invalid_input(self, capsys, argv):
+        code, doc = run_json(capsys, *argv.split())
+        assert (code, doc["status"]) == (2, "invalid-input")
+        assert doc["payload"]["error"] == "need d >= 2 and n >= 1"
+
     def test_pcf_census(self, capsys):
         code, doc = run_json(capsys, "pcf", "--d", "3", "--p", "5")
         assert code == 0
@@ -153,6 +179,22 @@ class TestSpecWorkflow:
         code, doc = run_json(capsys, "construct", "--spec", spec_file)
         assert code == 4
         assert doc == {"status": "internal-error", "payload": {"error": "lift lost its period"}}
+
+    def test_exhausted_prime_search_exits_3(self, capsys, monkeypatch, tmp_path):
+        # none of the primes 31..47 is admissible for iterate 30; the real
+        # ceiling, 10^6, is out of a test's reach
+        monkeypatch.setattr(constructor, "find_prime_for_iterate",
+                            functools.partial(constructor.find_prime_for_iterate, ceiling=50))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"d": 2, "constraints": [{"n": 30, "primes": [{"k": 1}]}], "exclude_primes": []}
+        ))
+        code, doc = run_json(capsys, "construct", "--spec", str(path))
+        assert code == 3
+        assert doc == {
+            "status": "exhausted",
+            "payload": {"bound": 50, "error": "no admissible prime for iterate 30 within bound 50"},
+        }
 
     def test_construct_then_verify(self, capsys, spec_file):
         code, doc = run_json(capsys, "construct", "--spec", spec_file)

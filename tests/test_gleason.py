@@ -100,6 +100,11 @@ class TestGleasonPoly:
                     continue
                 assert gleason_degree(d, n) == gleason_poly(d, n).degree
 
+    @pytest.mark.parametrize("d,n", [(2, 0), (2, -1), (1, 0)])
+    def test_period_below_one_rejected(self, d, n):
+        with pytest.raises(ValueError, match="need d >= 2 and n >= 1"):
+            gleason_poly(d, n)
+
     def test_degree_values(self):
         assert gleason_degree(2, 3) == 3
         assert gleason_degree(3, 3) == 8
@@ -144,8 +149,6 @@ class TestResultantAndDiscriminant:
     def test_disc_mod_p_consistent(self):
         for n in (1, 2, 3, 4, 5):
             poly = gleason_poly(2, n)
-            if poly.degree < 1:
-                continue
             disc = discriminant(poly)
             for p in primes_up_to(60):
                 assert discriminant_mod_p(poly, p) == disc % p, (n, p)
@@ -309,6 +312,31 @@ def test_remainder_and_power_match_sympy(p):
         assert _xshift_pow(a, e, g, p) == low_first(power)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 5, 13, 30, 60])
+def test_resultant_and_discriminants_match_sympy(degree):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def sympy_poly(poly):
+        return sympy.Poly(list(reversed(poly.coeffs)), x)
+
+    rng = random.Random(degree)
+    f = IntPoly([rng.randrange(-20, 21) for _ in range(degree)] + [rng.choice([-3, -2, 1, 3])])
+    g = IntPoly([rng.randrange(-20, 21) for _ in range(rng.randrange(1, 21))] + [1])
+    # higher degree first: sympy 1.14 gives Res(g, f) for Res(f, g) when deg f < deg g
+    high, low = sorted((f, g), key=lambda h: -h.degree)
+    assert resultant(high, low) == int(sympy_poly(high).resultant(sympy_poly(low)))
+    # a squared linear factor makes the second discriminant vanish
+    r = rng.randrange(-5, 6)
+    for poly in (f, f * IntPoly([r * r, -2 * r, 1])):
+        expected = int(sympy_poly(poly).discriminant())
+        assert discriminant(poly) == expected
+        # p = 2, 3 and 5 divide some degrees, so the derivative drops degree mod p
+        for p in (2, 3, 5, 7, 10007, 2**61 - 1):
+            if poly.leading() % p:
+                assert discriminant_mod_p(poly, p) == expected % p, p
+
+
 class TestSimpleRoots:
     def test_simple_at_five(self):
         assert is_simple_root(iterate_poly(2, 3), 5, 1)
@@ -327,8 +355,6 @@ class TestSimpleRoots:
         # any repeated Gleason root mod p forces p | disc (d = 2, n <= 5, p < 1000)
         for n in range(1, 6):
             poly = gleason_poly(2, n)
-            if poly.degree < 1:
-                continue
             disc = discriminant(poly)
             for p in primes_up_to(1000):
                 if poly.leading() % p == 0:

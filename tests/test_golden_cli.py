@@ -15,16 +15,19 @@ period-8 automatic ``construct`` cases before the construction tested
 p | disc(G) mod p instead of reducing the integer discriminant, and the two
 ``construct`` cases with pinned primes above 10^6 (the Gleason-root branch
 of the base search) before the CLI's parser was rebuilt from one flag table,
-so a refactor that changes any payload byte (key order, number formatting,
+and the p <= d ``correspond`` case before the correspondence's Gleason
+discriminant fallback was deleted, so a refactor that changes any payload byte (key order, number formatting,
 an answer) fails here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
 rational parameters, root splitting at primes from 2 to above 10^6 and a
 density scan merged from two worker processes.
 
-Exit code 3 (``exhausted``) is not covered: the only CLI path that raises
-``SearchExhaustedError`` is the automatic prime search of ``construct``,
-which scans primes up to 10^6 before giving up, and no cheap input reaches
-that bound.
+Exit code 3 (``exhausted``) is not covered here: the only CLI path that
+raises ``SearchExhaustedError`` is the automatic prime search of
+``construct``, which scans primes up to 10^6 before giving up, and no cheap
+input reaches that bound.  ``tests/test_cli.py``'s
+``test_exhausted_prime_search_exits_3`` lowers the bound to 50 instead and
+pins the exit code and payload.
 
 ``PYTHONPATH=src python tests/test_golden_cli.py`` prints ``id exit sha256``
 for every case: run it at the parent commit to record new cases, or after an
@@ -223,6 +226,8 @@ CASES = [
      "344de677a79ed7283d311b4d115c37fcb75ebc2278d909d5af792e763ef7decb"),
     ("correspond-simple-roots", "correspond --d 2 --p 7 --precision 4", 0,
      "4fac1ee35ba68f035377e105e8e8745676e58bf41d1ed5b27a7c994ed7f400e6"),
+    ("correspond-small-prime", "correspond --d 3 --p 3 --precision 3", 0,
+     "c5db3b032e4640173bc3a392eb88c750e6c978a4b30ed48ec3ab507829a271b8"),
     ("density-json", "density --d 2 --n 3 --limit 300", 0,
      "994fe6d675afa9aebb2dfb0a4680f5e9f1d9b6e05eb856174011273b76761e03"),
     ("density-csv", "density --d 3 --n 2 --limit 120 --csv", 0,

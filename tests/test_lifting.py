@@ -60,6 +60,13 @@ class TestHenselLift:
         assert result.lifted_value == Residue(7, 3, 342)
         assert (result.shift_valuation, result.nu_derivative) == (3, 0)
 
+    def test_base_lifted_past_the_cap_is_its_own_lift(self):
+        # f^3(0) at the 5^60 lift of 1 vanishes beyond the cap 4 * (3 + 8),
+        # which once raised "raise the valuation cap"
+        deep = hensel_lift(2, 3, 5, 1, 60).lifted_value.value
+        again = hensel_lift(2, 3, 5, deep, 3)
+        assert again.lifted_value == hensel_lift(2, 3, 5, 1, 3).lifted_value
+
     def test_newton_step_cap_raises(self, monkeypatch):
         # one evaluation and no step to spare: 1 is not yet a root mod 5^12
         monkeypatch.setattr(lifting, "_NEWTON_SLACK", -(12).bit_length())

@@ -8,11 +8,18 @@ from critorbit import (
     correspondence_report,
     discriminant_mod_p,
     enumerate_pcf,
+    gleason_degree,
     gleason_poly,
     primes_up_to,
 )
 
 from oracles import orbit_walk
+
+# (d, p) for d = 2, 3 with p < 200 and d = 4, 5 with p < 100
+DEGREE_PRIME_PAIRS = [
+    (d, p) for d, bound in ((2, 200), (3, 200), (4, 100), (5, 100))
+    for p in primes_up_to(bound - 1)
+]
 
 
 class TestEnumeratePcf:
@@ -105,8 +112,6 @@ class TestDiscCriterionConsistency:
         for d, max_n in ((2, 8), (3, 5)):
             for n in range(1, max_n + 1):
                 poly = gleason_poly(d, n)
-                if poly.degree < 1:
-                    continue
                 for p in primes_up_to(199):
                     if p <= d or n > p:
                         continue
@@ -114,8 +119,30 @@ class TestDiscCriterionConsistency:
                         ok, witnesses = check_condition_star(d, p, n)
                         assert ok, (d, n, p, witnesses)
 
+    def test_star_star_failure_is_a_gleason_double_root(self):
+        # at a base of exact period n, (f^n(0))' = G_{d,n}' times a unit, so
+        # every simple-root failure makes p divide disc(G_{d,n})
+        seen = 0
+        for d, p in DEGREE_PRIME_PAIRS:
+            for c, n in condition_star_star_failures(d, p):
+                if gleason_degree(d, n) <= 128:
+                    seen += 1
+                    assert discriminant_mod_p(gleason_poly(d, n), p) == 0, (d, p, c, n)
+        assert seen == 19
+
 
 class TestCorrespondence:
+    def test_guarantee_is_the_simple_root_condition(self):
+        hypotheses = {
+            "simple-root condition holds at every observed period",
+            "correspondence not guaranteed",
+        }
+        for d, p in DEGREE_PRIME_PAIRS:
+            report = correspondence_report(d, p, 2)
+            assert report.guaranteed == (p > d and check_condition_star_star(d, p)), (d, p)
+            small = f"residue characteristic {p} is not larger than the degree {d}"
+            assert report.hypothesis in hypotheses | {small}, (d, p)
+
     def test_cubic_at_five(self):
         report = correspondence_report(3, 5, precision=4)
         assert report.guaranteed

@@ -2,8 +2,11 @@
 bounded factorization, and residues of Z/p^t.
 
 Everything here is exact arbitrary-precision arithmetic on Python ints.
-Primality is deterministic below the 3.3e24 Miller-Rabin bound (which covers
-2^64) and probabilistic with error < 2^-128 above it.  The random witnesses
+Primality is Miller-Rabin.  Below psi_k, the least strong pseudoprime to the
+first k prime bases, the witnesses are the first k primes (2, 3, 5, ..., 41),
+so the test is deterministic below psi_13 ~ 3.3e24 (which covers 2^64) and
+needs only 2 rounds below 1,373,653.  Above psi_13 it draws 64 random
+witnesses, an error probability below 2^-128.  The random witnesses
 come from a module RNG with a fixed default seed so results are reproducible;
 reseed with :func:`set_random_seed`.
 """
@@ -14,10 +17,24 @@ import random
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-# Deterministic Miller-Rabin witness set for n < 3317044064679887385961981
-# (Sorenson-Webster), which covers everything below 2^64 and then some.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = _TRIAL_PRIMES + (41,)
+# (psi_k, k): psi_k is the least strong pseudoprime to the first k prime bases
+# (Jaeschke, Math. Comp. 61, 1993; Jiang & Deng, Math. Comp. 83, 2014), so
+# below psi_k those k bases decide primality.  psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11, so each bound is listed once, with its smallest k.
+_MR_PSI = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 _MR_RANDOM_ROUNDS = 64  # error probability <= 4^-64 = 2^-128
 
 _SIEVE_LIMIT = 10**7  # sieving beyond this is out of scope
@@ -42,10 +59,10 @@ def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test; deterministic for n below ~3.3e24."""
+    """Miller-Rabin primality test; deterministic for n below psi_13 ~ 3.3e24."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -53,8 +70,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    if n < _MR_DETERMINISTIC_BOUND:
-        witnesses = _MR_WITNESSES
+    for bound, k in _MR_PSI:
+        if n < bound:
+            witnesses = _MR_BASES[:k]
+            break
     else:
         witnesses = tuple(_rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     return all(_miller_rabin_round(n, a, d, r) for a in witnesses)

@@ -172,6 +172,10 @@ class MaximalityCertificate:
     missing: tuple[int, ...]  # iterates with no witness found within budget
     neg_c_is_square: bool | None  # d = 2 irreducibility note; None for d > 2
 
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError("degree must be >= 2")
+
     @property
     def complete(self) -> bool:
         """Nothing missing, and one valid entry for each iterate 1..m."""
@@ -184,13 +188,17 @@ class MaximalityCertificate:
 
     @property
     def claimed_order_exponent(self) -> int | None:
-        """Order phi(d) * d^(d^m - 1) as (totient, base, exponent); exponent part."""
-        return self.d**self.m - 1 if self.complete else None
+        """Exponent of the Galois order phi(d) * d^((d^m - 1)/(d - 1)) of f^m.
+
+        The splitting field is a tower over Q(zeta_d) whose k-th layer is a
+        Kummer extension of degree d^(d^(k-1)); the exponents sum to
+        1 + d + ... + d^(m-1).  None unless the certificate is complete."""
+        return (self.d**self.m - 1) // (self.d - 1) if self.complete else None
 
     def to_json_dict(self) -> dict:
         order = None
-        if self.complete:
-            exponent = self.d**self.m - 1
+        exponent = self.claimed_order_exponent
+        if exponent is not None:
             order = {
                 "totient_factor": euler_phi(self.d),
                 "base": self.d,

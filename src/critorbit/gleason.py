@@ -202,11 +202,6 @@ def _divmod_p(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
     return _strip(quot), _strip([x % p for x in rem[: len(low)]])
 
 
-def _polmulmod_p(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
-    """a * b mod g in F_p[x]."""
-    return _divmod_p(_convolve(a, b), g, p)[1]
-
-
 def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _strip(a[:]), _strip(b[:])
     while b:
@@ -218,13 +213,44 @@ def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _xshift_pow(a: int, e: int, g: list[int], p: int) -> list[int]:
-    """(x + a)^e mod g in F_p[x], squaring left to right over the bits of e."""
-    result = [1]
+    """(x + a)^e mod g in F_p[x] for 0 <= a < p, squaring left to right.
+
+    A residue of degree < D = deg g is packed into one int, w bits per
+    coefficient, so each square and each multiply by x + a is one int
+    product.  The product is reduced mod g from the top: the slot of
+    x^(D+k), holding h, is cleared and (h mod p) times the packed x^D mod g
+    is added from slot k up.  Then each low slot is reduced mod p once.
+    Slots start in [0, p) and only nonnegative terms are added: a square puts
+    at most D products below p^2 in a slot and the reduction fewer than D
+    more, so no slot reaches 2*D*p^2 < 2^w and none carries into the next.
+    """
+    degree = len(g) - 1
+    width = 2 * p.bit_length() + degree.bit_length() + 2
+    mask = (1 << width) - 1
+    inv = pow(g[-1], -1, p)
+    tail = 0  # x^D mod g, packed
+    for c in reversed(g[:-1]):
+        tail = (tail << width) | (-c * inv % p)
+
+    def mod_g(x: int) -> int:
+        for k in range((x.bit_length() - 1) // width - degree, -1, -1):
+            shift = width * (degree + k)
+            x = (x & ((1 << shift) - 1)) + ((x >> shift) % p * tail << width * k)
+        out = 0
+        for shift in range(width * ((x.bit_length() - 1) // width), -1, -width):
+            out = (out << width) | (x >> shift & mask) % p
+        return out
+
+    result = 1
     for bit in f"{e:b}":
-        result = _polmulmod_p(result, result, g, p)
+        result = mod_g(result * result)
         if bit == "1":
-            result = _polmulmod_p(result, [a, 1], g, p)
-    return result
+            result = mod_g((result << width) + a * result)
+    coeffs = []
+    while result:
+        coeffs.append(result & mask)
+        result >>= width
+    return coeffs
 
 
 def _resultant_mod_p(f: list[int], g: list[int], p: int) -> int:

@@ -145,6 +145,10 @@ class TestPrimality:
     def test_strong_pseudoprime_rejected(self):
         assert not is_prime(1373653)  # strong pseudoprime to bases 2, 3
 
+    def test_psi_12_rejected(self):
+        # 399165290221 * 798330580441 is a strong pseudoprime to bases 2..37
+        assert not is_prime(318665857834031151167461)
+
     def test_beyond_deterministic_range(self):
         # 2^89 - 1 is a Mersenne prime
         assert is_prime(2**89 - 1)
@@ -181,9 +185,34 @@ def test_factorize_matches_sympy():
 
 def test_is_prime_matches_sympy_around_the_deterministic_bound():
     sympy = pytest.importorskip("sympy")
-    bound = 3_317_044_064_679_887_385_961_981  # a strong pseudoprime to bases 2..37
+    # psi_13, the least strong pseudoprime to the bases 2..41 (the least one
+    # to the bases 2..37 is psi_12, tested below)
+    bound = 3_317_044_064_679_887_385_961_981
     for n in range(bound - 1000, bound + 1000):
         assert is_prime(n) == sympy.isprime(n), n
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, k = 1..13
+PSI = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+
+
+def test_is_prime_matches_sympy_around_every_psi():
+    sympy = pytest.importorskip("sympy")
+    for psi in sorted(set(PSI)):
+        assert not is_prime(psi), psi
+        for n in range(psi - 2000, psi + 2000):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_matches_sympy_below_2e5():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(200_000) if is_prime(n)] == list(sympy.primerange(200_000))
 
 
 class TestResidue:

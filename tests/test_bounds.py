@@ -134,6 +134,40 @@ class TestMaximalityCertificate:
         assert cert.claimed_order_exponent == 3
         assert cert.to_json_dict()["claimed_order"]["decimal"] == "8"
 
+    @pytest.mark.parametrize(
+        "d,m,c",
+        [(2, 1, 3), (2, 1, 5), (2, 2, 5), (2, 2, 6), (3, 1, 2), (3, 1, -5),
+         (3, 1, 7), (4, 1, 3), (4, 1, 5), (4, 1, -7), (5, 1, 2), (5, 1, 3),
+         (5, 1, 6)],
+    )
+    def test_claimed_order_is_the_galois_order(self, d, m, c):
+        # the splitting field of f^m(x) = x^d + c iterated m times has order
+        # phi(d) * d^((d^m - 1)/(d - 1)) when the certificate is complete
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.numberfields.galoisgroups import galois_group
+
+        cert = maximality_certificate(d, c, m, scan_budget=200)
+        assert cert.complete
+        x = sympy.Symbol("x")
+        f = x
+        for _ in range(m):
+            f = f**d + c
+        group, _ = galois_group(sympy.Poly(f, x), by_name=False)
+        order = cert.to_json_dict()["claimed_order"]
+        assert int(order["decimal"]) == group.order()
+        assert order["exponent"] == str(cert.claimed_order_exponent)
+
+    def test_degree_one_certificate_is_rejected(self):
+        # its claimed order would divide by d - 1 = 0
+        entry = CertificateEntry(
+            n=1, p=3, valuation=1, primitive=True,
+            valuation_coprime_to_degree=True, prime_coprime_to_degree=True,
+        )
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            MaximalityCertificate(
+                d=1, c=3, m=1, entries=(entry,), missing=(), neg_c_is_square=None
+            )
+
     def test_degree_prime_witness_is_invalid(self):
         # a_1 = 2 has only the prime 2, which divides d, so no valid witness
         cert = maximality_certificate(2, 2, 1, witnesses={1: 2})

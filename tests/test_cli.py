@@ -154,6 +154,16 @@ class TestBasicCommands:
             {"p": "3", "e": 2}, {"p": "5", "e": 2}, {"p": "23", "e": 1},
         ]
 
+    def test_factor_keeps_a_strong_pseudoprime_as_a_cofactor(self, capsys):
+        # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the
+        # bases 2..37; rho's budget does not split it, so it stays a cofactor
+        psi12 = "318665857834031151167461"
+        code, doc = run_json(capsys, "factor", "--x", psi12)
+        assert code == 0
+        assert doc["payload"]["factors"] == []
+        assert doc["payload"]["cofactor"] == psi12
+        assert doc["payload"]["complete"] is False
+
 
 class TestSpecWorkflow:
     @pytest.fixture
@@ -234,6 +244,14 @@ class TestCertify:
         assert code == 0
         assert doc["payload"]["complete"] is True
         assert doc["payload"]["claimed_order"]["decimal"] == "8"
+
+    def test_cubic_certificate_claims_the_order_of_s3(self, capsys):
+        # x^3 + 2 has Galois group S_3: order phi(3) * 3^((3 - 1)/(3 - 1)) = 6
+        code, doc = run_json(capsys, "certify", "--d", "3", "--c", "2", "--m", "1")
+        assert code == 0
+        assert doc["payload"]["claimed_order"] == {
+            "totient_factor": 2, "base": 3, "exponent": "1", "decimal": "6"
+        }
 
     def test_incomplete_certificate_exit_code(self, capsys):
         code, doc = run_json(

@@ -203,6 +203,16 @@ class TestRootsModP:
     def test_roots_simple(self):
         assert roots_mod_p(IntPoly([0, 1, 1]), 7) == [(0, 1), (6, 1)]
 
+    def test_constant_and_linear_divisors(self):
+        # degree 0: every residue is 0 mod a unit; degree 1: one root
+        assert roots_mod_p(IntPoly([3]), 5) == []
+        assert not has_root_mod_p(IntPoly([3]), 5)
+        assert _xshift_pow(0, 5, [3], 5) == []
+        assert roots_mod_p(IntPoly([2, 3]), 7) == [(4, 1)]
+        assert roots_mod_p(IntPoly([7, 5]), 7) == [(0, 1)]
+        assert _xshift_pow(0, 7, [0, 1], 7) == []
+        assert _xshift_pow(3, 0, [1, 1], 7) == [1]
+
     def test_matches_brute_oracle(self):
         rng = random.Random(41)
         for _ in range(30):
@@ -289,7 +299,7 @@ class TestRootsModP:
         assert roots_mod_p(poly, p) == linear == expected
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 101, 2**61 - 1])
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 2**61 - 1, 2**89 - 1])
 def test_remainder_and_power_match_sympy(p):
     galoistools = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
@@ -310,6 +320,17 @@ def test_remainder_and_power_match_sympy(p):
         a, e = rng.randrange(p), rng.choice([0, 1, 2, rng.randrange(p), p])
         power = galoistools.gf_pow_mod(high_first([a, 1]), e, high_first(g), p, ZZ)
         assert _xshift_pow(a, e, g, p) == low_first(power)
+    # the packed powmod at the exponents of the root test and of root
+    # splitting, a != 0, non-monic divisors of degree up to 120 (above p when
+    # p is small) and up to 20 at the large primes
+    for degree in (1, 2, 7, 20) + ((31, 64, 120) if p < 1000 else ()):
+        g = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+        if p > 2:
+            g[-1] = rng.randrange(2, p)
+        a = rng.randrange(1, p)
+        for e in (p, (p - 1) // 2):
+            power = galoistools.gf_pow_mod(high_first([a, 1]), e, high_first(g), p, ZZ)
+            assert _xshift_pow(a, e, g, p) == low_first(power), (degree, e)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 5, 13, 30, 60])

@@ -16,8 +16,11 @@ p | disc(G) mod p instead of reducing the integer discriminant, and the two
 ``construct`` cases with pinned primes above 10^6 (the Gleason-root branch
 of the base search) before the CLI's parser was rebuilt from one flag table,
 and the p <= d ``correspond`` case before the correspondence's Gleason
-discriminant fallback was deleted, so a refactor that changes any payload byte (key order, number formatting,
-an answer) fails here.  Together the cases cover all 18 subcommands, exit
+discriminant fallback was deleted, and the degree-120 ``roots`` cases (at
+p above 10^6 and at p = 13, below the degree) and the degree-80 ``density``
+scan before x^p mod G was computed on packed integers, so a refactor that
+changes any payload byte (key order, number formatting, an answer) fails
+here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
 rational parameters, root splitting at primes from 2 to above 10^6 and a
 density scan merged from two worker processes.
@@ -170,6 +173,10 @@ CASES = [
      "db605a8f9725c4be2b6bea66190fe1ee2bfba1dd4939c749755f9b2966cf51fb"),
     ("roots-split-999983", "--seed 7 roots --d 2 --n 6 --p 999983", 0,
      "d75e7bf8887771ece0641c2a16f64f21ae2de01925fc402d3b172d46f7eca901"),
+    ("roots-degree-120", "--seed 7 roots --d 2 --n 8 --p 1000003", 0,
+     "a0ae43b6b670bb0f5ae1749449c86d6f0987acf9b10ae2c5bd857fc250dcec50"),
+    ("roots-prime-below-degree", "--seed 7 roots --d 2 --n 8 --p 13", 0,
+     "f53870345d6dff6bafdafa37db7bc92bd1a2e04785543fb43e479c1ee588ff07"),
     ("lift", "lift --d 2 --n 3 --p 5 --c0 1 --precision 12", 0,
      "a2b29bb90c6e8275658114e5c5b830f9f6e16149f1689c0a47e404729cdf0277"),
     ("lift-obstruction", "lift --d 2 --n 5 --p 13 --c0 3 --precision 2", 2,
@@ -234,6 +241,8 @@ CASES = [
      "f1d8249364d18d700fe2f5d4470a8d3804170ba31e85eb8682219a0ed2e3434f"),
     ("density-pooled", "density --d 2 --n 5 --limit 400 --threads 2", 0,
      "512cb8602717f8d99633a277c060db90abc5f582874542d11c8a91559b304c48"),
+    ("density-degree-80", "density --d 3 --n 5 --limit 200", 0,
+     "c5758e7084595f5865ff67a454a7b1054b572ca97cc91b3988e9a0b1284f2ba3"),
     ("bound-rational", "bound --d 2 --n 4 --c=-3/2", 0,
      "418925bfe8e0e7d41272bbdc7177be32042036726217950a60597ed8cafbdbf1"),
     ("bound-pcf", "bound --d 2 --n 3 --c 0", 2,

@@ -6,6 +6,15 @@ expanding the degree-d^(n-1) polynomial) converges in Z/p^N to the unique
 parameter where 0 is exactly periodic p-adically, provided
 nu(F(c0)) > 2 nu(F'(c0)).  The shift nu(lifted - c0) equals nu(F) - nu(F').
 
+For a simple root, nu(F'(c0)) = 0, Newton runs at doubling precision: each
+step is one walk mod p^k for k = 2, 4, ..., N, and the inverse of F' mod p is
+carried up by Newton's update instead of recomputed, so a lift to N digits
+costs less than four walks of N digits, not log2(N) of them.  The output is
+the one a fixed-width schedule gives: over c0 mod p there is exactly one root
+mod p^N.  When b = nu(F'(c0)) > 0 every step stays at the full width
+p^(N + b): F(c + t p^(N - b)) = F(c) mod p^N there, so the last b digits
+depend on the schedule, and only the one schedule keeps them stable.
+
 Perturbing the lifted value at the p^r digit then produces parameters whose
 n-th orbit value carries p to the exact power r.
 """
@@ -13,6 +22,7 @@ n-th orbit value carries p to the exact power r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .arith import Residue, is_prime, val_p
 from .errors import HenselHypothesisError, InternalConsistencyError
@@ -80,14 +90,14 @@ def hensel_lift(d: int, n: int, p: int, c0: int, precision: int) -> LiftResult:
         raise HenselHypothesisError(nu_f.value, nu_df.value)
     else:
         b = nu_df.value
-        working, target, shifted = p ** (precision + b), p**precision, p**b
-        c = c0 % working
+        if b == 0:
+            steps = _doubling_newton(d, n, p, c0, precision)
+        else:
+            steps = _full_width_newton(d, n, p, c0, precision, b)
         max_steps = precision.bit_length() + _NEWTON_SLACK
-        for _ in range(max_steps + 1):
-            value, deriv = _derivative_walk(d, c, working, n)
-            if value % target == 0:
+        for converged, c in islice(steps, max_steps + 1):
+            if converged:
                 break
-            c = (c - (value // shifted) * pow(deriv // shifted, -1, target)) % working
         else:
             raise InternalConsistencyError(
                 f"Newton iteration failed to converge within {max_steps} steps"
@@ -115,6 +125,35 @@ def hensel_lift(d: int, n: int, p: int, c0: int, precision: int) -> LiftResult:
         nu_derivative=nu_df.value,
         base_c0=c0,
     )
+
+
+def _doubling_newton(d: int, n: int, p: int, c0: int, precision: int):
+    """Newton steps for a simple root (b = 0) at precisions 2, 4, ..., precision.
+
+    Yields (converged, c) after each walk; the inverse of F' mod p is carried
+    up by the Newton update inv <- inv (2 - F' inv) instead of recomputed.
+    """
+    c, k = c0 % p, 1
+    inv = pow(_derivative_walk(d, c, p, n)[1], -1, p)
+    while True:
+        k = min(2 * k, precision)
+        modulus = p**k
+        value, deriv = _derivative_walk(d, c, modulus, n)
+        yield k == precision and value == 0, c
+        inv = inv * (2 - deriv * inv) % modulus
+        c = (c - value * inv) % modulus
+
+
+def _full_width_newton(d: int, n: int, p: int, c0: int, precision: int, b: int):
+    """Newton steps at the fixed modulus p^(precision + b), dividing F and F'
+    by p^b.  Kept for b > 0: the last b digits it prints depend on the step
+    schedule, so only this schedule keeps them stable."""
+    working, target, shifted = p ** (precision + b), p**precision, p**b
+    c = c0 % working
+    while True:
+        value, deriv = _derivative_walk(d, c, working, n)
+        yield value % target == 0, c
+        c = (c - (value // shifted) * pow(deriv // shifted, -1, target)) % working
 
 
 def adjust_power(lift: LiftResult, r: int) -> int:

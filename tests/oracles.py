@@ -2,10 +2,13 @@
 
 These deliberately use different algorithms from the library: fraction-exact
 Sylvester determinants instead of CRT resultants, direct residue scans instead
-of gcd machinery, and plain dict-based orbit walks.
+of gcd machinery, plain dict-based orbit walks, and a Newton lift that takes
+every step at full width.
 """
 
 from fractions import Fraction
+
+from critorbit import LiftResult, Residue
 
 
 def sylvester_resultant(f: list[int], g: list[int]) -> int:
@@ -80,3 +83,66 @@ def brute_roots(coeffs: list[int], p: int) -> list[int]:
         if acc == 0:
             out.append(r)
     return out
+
+
+def _orbit_and_derivative(d: int, c: int, modulus: int, n: int) -> tuple[int, int]:
+    """(f^n(0), d/dc f^n(0)) mod modulus, from the chain rule one step at a time."""
+    x, dx = 0, 0
+    for _ in range(n):
+        x, dx = (x**d + c) % modulus, (d * x ** (d - 1) * dx + 1) % modulus
+    return x, dx
+
+
+def _capped_valuation(x: int, p: int, cap: int) -> tuple[int, bool]:
+    """(nu_p(x), True) when p^cap does not divide x, else (cap, False)."""
+    x %= p**cap
+    if x == 0:
+        return cap, False
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, True
+
+
+def full_width_lift(d: int, n: int, p: int, c0: int, precision: int):
+    """The Newton lift with every step at the full modulus p^(precision + b).
+
+    b = nu(F'(c0)) with F(c) = f^n(0); each step divides F and F' by p^b and
+    takes a fresh inverse mod p^precision.  Returns None where the lift's
+    hypotheses fail: c0 not of exact period n mod p, or nu(F) <= 2 nu(F').
+    """
+    if orbit_walk(d, c0, p) != (0, n):
+        return None
+    cap = 4 * (precision + 8)
+    value, deriv = _orbit_and_derivative(d, c0, p**cap, n)
+    nu_value, value_exact = _capped_valuation(value, p, cap)
+    nu_derivative, derivative_exact = _capped_valuation(deriv, p, cap)
+    if not value_exact:
+        c, shift = c0, precision
+    elif not derivative_exact or nu_value <= 2 * nu_derivative:
+        return None
+    else:
+        b = nu_derivative
+        working, target, shifted = p ** (precision + b), p**precision, p**b
+        c = c0 % working
+        max_steps = precision.bit_length() + 4
+        for _ in range(max_steps + 1):
+            value, deriv = _orbit_and_derivative(d, c, working, n)
+            if value % target == 0:
+                break
+            c = (c - (value // shifted) * pow(deriv // shifted, -1, target)) % working
+        else:
+            raise AssertionError("full-width Newton lift did not converge")
+        shift = nu_value - nu_derivative
+    return LiftResult(
+        d=d,
+        n=n,
+        p=p,
+        precision=precision,
+        lifted_value=Residue.reduce(c, p, precision),
+        shift_valuation=shift,
+        nu_value=nu_value,
+        nu_derivative=nu_derivative,
+        base_c0=c0,
+    )

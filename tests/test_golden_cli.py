@@ -18,7 +18,10 @@ of the base search) before the CLI's parser was rebuilt from one flag table,
 and the p <= d ``correspond`` case before the correspondence's Gleason
 discriminant fallback was deleted, and the degree-120 ``roots`` cases (at
 p above 10^6 and at p = 13, below the degree) and the degree-80 ``density``
-scan before x^p mod G was computed on packed integers, so a refactor that
+scan before x^p mod G was computed on packed integers, and the 1,672-digit
+``lift`` at p = 47, the nu(F') = 1 ``lift`` at p = 3, the p = 2 and
+negative-base ``lift`` cases and the 600-digit ``adjust`` before the Newton
+lift of a simple root ran at doubling precision, so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
@@ -187,8 +190,18 @@ CASES = [
      "5498f5ff069fbd001880b6f35d18b3d15cee9243089ac52bd674dddffc88a575"),
     ("lift-exact-zero-even", "lift --d 2 --n 2 --p 5 --c0 -1 --precision 3", 0,
      "17fbdfccf535ad28aab0da80bddb993dbe99fe3bec620a52978842be21024621"),
+    ("lift-1672-digits", "lift --d 2 --n 12 --p 47 --c0 38 --precision 1000", 0,
+     "05f89aa39f30342330ad5bc9ba2650261e6da4ae58db19107b7dd2113b686b22"),
+    ("lift-double-root", "lift --d 4 --n 2 --p 3 --c0 -10 --precision 12", 0,
+     "39e1d895985626a39f062ac8bb60f86bdfc98729c5878e02191ca1a971e49656"),
+    ("lift-p2", "lift --d 2 --n 2 --p 2 --c0 1 --precision 5", 0,
+     "3edcbd76e32353a7bcf0c37de122bb55bf60a5e7911cee00637578c797e21f7e"),
+    ("lift-negative-base", "lift --d 2 --n 3 --p 5 --c0 -4 --precision 5", 0,
+     "0357bc8e10051b91fe26350d1965199aca54d6246b4deba0fcfed36c06bd8b70"),
     ("adjust", "adjust --d 2 --n 3 --p 5 --c0 1 --r 4", 0,
      "be9a220ddbb99417ad5ef6a5dffdcf0b86b18c3667c8bdacd15a16f545ad55e8"),
+    ("adjust-600-digits", "adjust --d 2 --n 7 --p 19 --c0 10 --r 600", 0,
+     "78da864cdd15919679eac39e38c70319ae8f692bcf707564ea78b69f1123d298"),
     ("construct", "construct --spec {spec}", 0,
      "d442bc346f5f1725d6ca0cf23629fe70a3d7ef131a577f714c51320b033b4dc6"),
     ("construct-auto", "construct --spec {spec_auto}", 0,

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from critorbit import (
     HenselHypothesisError,
@@ -18,6 +21,17 @@ from critorbit import (
     scan_shifts,
 )
 from critorbit import lifting
+from critorbit.cli import main
+from oracles import full_width_lift, orbit_walk
+
+PRIMES_BELOW_60 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+@st.composite
+def _prime_and_base(draw):
+    """A prime p < 60 and a base c0 in [-p^3, p^3)."""
+    p = draw(st.sampled_from(PRIMES_BELOW_60))
+    return p, draw(st.integers(-(p**3), p**3 - 1))
 
 
 class TestHenselLift:
@@ -111,6 +125,55 @@ class TestHenselLift:
                 assert v == lift.shift_valuation
             checked += 1
         assert checked > 20
+
+
+class TestNewtonSchedule:
+    @given(
+        d=st.integers(2, 5),
+        base=_prime_and_base(),
+        precision=st.integers(1, 70),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_width_lift(self, d, base, precision):
+        # the lifted residue over a simple root is unique, so the doubling
+        # schedule must give every field the full-width reference gives; n is
+        # the exact period of 0 mod p at c0, as a drawn n would rarely be one
+        p, c0 = base
+        tail, n = orbit_walk(d, c0, p)
+        assume(tail == 0 and n <= 6)
+        expected = full_width_lift(d, n, p, c0, precision)
+        assume(expected is not None)
+        assert hensel_lift(d, n, p, c0, precision) == expected
+
+    def test_work_grows_like_one_full_width_walk(self, monkeypatch):
+        # doubling precision walks at p^1, p^2, ..., p^N: under 4 full widths
+        # in all, where fixed-width Newton walks at p^N about log2(N) times
+        bits = []
+        walk = lifting._derivative_walk
+
+        def counted(d, c, modulus, n):
+            bits.append(modulus.bit_length())
+            return walk(d, c, modulus, n)
+
+        monkeypatch.setattr(lifting, "_derivative_walk", counted)
+        hensel_lift(2, 12, 47, 38, 5000)
+        assert sum(bits) <= 5 * (47**5000).bit_length()
+
+    def test_sabotaged_walk_raises_and_exits_4(self, monkeypatch, capsys):
+        # a walk that never vanishes mod p^precision exhausts the step guard
+        walk = lifting._derivative_walk
+
+        def sabotaged(d, c, modulus, n):
+            value, deriv = walk(d, c, modulus, n)
+            return (1 if modulus == 5**12 else value), deriv
+
+        monkeypatch.setattr(lifting, "_derivative_walk", sabotaged)
+        with pytest.raises(InternalConsistencyError, match="within 8 steps"):
+            hensel_lift(2, 3, 5, 1, 12)
+        code = main("lift --d 2 --n 3 --p 5 --c0 1 --precision 12".split())
+        doc = json.loads(capsys.readouterr().out)
+        assert (code, doc["status"]) == (4, "internal-error")
+        assert "within 8 steps" in doc["payload"]["error"]
 
 
 class TestLiftAgainstExhaustiveScan:

@@ -164,7 +164,7 @@ def find_base(d: int, n: int, p: int) -> int | None:
         raise ValueError("period must lie in [1, p]")
     if n > p:  # no orbit mod p is longer than p
         return None
-    return next((c0 for c0, _ in bases), None)
+    return next((c0 for c0, _, _ in bases), None)
 
 
 def _gleason_roots(d: int, n: int, p: int) -> Iterator[int]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .arith import Residue, is_prime, val_p
-from .errors import HenselHypothesisError, InternalConsistencyError
+from .errors import HenselHypothesisError, InternalConsistencyError, SearchExhaustedError
 from .orbit import (
     _adaptive_valuation,
     _critical_walk,
@@ -36,6 +36,12 @@ from .orbit import (
 )
 
 _NEWTON_SLACK = 4
+# a lift costs about n * bits(p^precision)^2 (walks of n steps, each step a
+# quadratic-time reduction mod p^precision), bounded above by
+# n * (precision * bits(p))^2: (2, 12, 47, 38, 40000) is 7 * 10^11 and took
+# 6 to 7 s on a shared 2-vCPU host, and the largest lift perfbench runs,
+# (2, 12, 47, 38, 5000), is 10^10
+_LIFT_WORK_LIMIT = 10**12
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,12 @@ def hensel_lift(d: int, n: int, p: int, c0: int, precision: int) -> LiftResult:
         raise ValueError("need d >= 2, n >= 1, precision >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if n * (precision * p.bit_length()) ** 2 > _LIFT_WORK_LIMIT:
+        raise SearchExhaustedError(
+            f"a lift to precision {precision} at p = {p} with n = {n} exceeds the "
+            f"work bound n * (precision * bits(p))^2 <= {_LIFT_WORK_LIMIT}",
+            _LIFT_WORK_LIMIT,
+        )
     ptype, _ = period_type_mod(d, Residue.reduce(c0, p, 1))
     if ptype.tail != 0 or ptype.period != n:
         raise ValueError(

@@ -206,7 +206,7 @@ def _period_type(d: int, c: Residue, start: int) -> tuple[PeriodType, int]:
     if d < 2:
         raise ValueError("degree must be >= 2")
     if c.t == 1:
-        tail, period, entry = _orbit_period_ints(d, c.value, c.modulus, start)
+        tail, period, entry = _orbit_period_ints(d, c.value, c.p, start)
     else:
         tail, period, entry = _period_type_levels(d, c.value, c.p, c.t, start)
     return PeriodType(tail, period), entry
@@ -368,6 +368,20 @@ def _derivative_walk(d: int, c: int, modulus: int, n: int) -> tuple[int, int]:
         w = (d * power * w + 1) % modulus
         v = (power * v + c) % modulus
     return v, w
+
+
+def _return_walk(d: int, c: int, p: int) -> tuple[int, int]:
+    """(n, d/dc f^n(0) mod p) for the period n of 0 under x^d + c over F_p,
+    when that map permutes F_p: 0 is then purely periodic, so the walk stops
+    when it returns to 0 and needs no visited table."""
+    v, w, n = c, 1, 1
+    while v:
+        # d = 3 squared inline: this loop is the cubic census's inner loop
+        power = v * v % p if d == 3 else pow(v, d - 1, p)
+        w = (d * power * w + 1) % p
+        v = (power * v + c) % p
+        n += 1
+    return n, w
 
 
 def exact_iterate(

@@ -476,6 +476,22 @@ def _run_cli_process(argv, timeout):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    "lift --d 2 --n 3 --p 5 --c0 1 --precision 100000000",
+    "adjust --d 2 --n 3 --p 5 --c0 1 --r 100000000",
+    "lift --d 2 --n 3 --p 5 --c0 1 --precision 1" + "0" * 400,
+])
+def test_lift_beyond_the_work_bound_exits_3(argv):
+    # a walk mod 5^(10^8) once ran with no bound and never finished; a
+    # 401-digit precision must not overflow a float on its way to the bound
+    proc = _run_cli_process(argv.split(), timeout=120)
+    assert proc.returncode == 3
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "exhausted"
+    assert doc["payload"]["bound"] == 10**12
+    assert "work bound n * (precision * bits(p))^2" in doc["payload"]["error"]
+
+
 def test_lift_prints_a_modulus_above_the_int_to_str_limit(no_int_str_limit):
     # 5^6200 has 4334 digits, more than the interpreter's default limit of 4300
     argv = ["lift", "--d", "2", "--n", "3", "--p", "5", "--c0", "1", "--precision", "6200"]
@@ -598,13 +614,24 @@ class TestInputMapping:
         )
         assert (code, doc["payload"]["error"]) == (2, "valuation cap must be >= 1")
 
+    # -1 once checked no period at all and printed condition_star_star: true
+    @pytest.mark.parametrize("bound", ["-1", "0"])
+    def test_max_period_below_one_is_invalid_input(self, capsys, bound):
+        code, doc = run_json(capsys, "condition", "--d", "3", "--p", "7", "--max-period", bound)
+        assert (code, doc["payload"]["error"]) == (2, "max period must be >= 1")
+
     # d = 1 once got a complete certificate of claimed order 1, d = 0 a
-    # valuation and d = -2 a failed modular inverse
+    # valuation and d = -2 a failed modular inverse; at d = 1 every x^d + c
+    # permutes F_p, so the census's return walk would answer without the guard
     @pytest.mark.parametrize("argv", [
         "valuation --d 0 --c 3 --n 2 --p 5",
         "primitive --d -2 --c 3 --n 2 --p 5",
         "rho --d 1 --c 3 --n 2",
         "certify --d 1 --c 3 --m 2 --budget 10",
+        "pcf --d 1 --p 7",
+        "condition --d 1 --p 7",
+        "condition --d 1 --p 7 --n 2",
+        "correspond --d 1 --p 7 --precision 3",
     ])
     def test_degree_below_two_is_invalid_input(self, capsys, argv):
         code, doc = run_json(capsys, *argv.split())

@@ -21,19 +21,26 @@ p above 10^6 and at p = 13, below the degree) and the degree-80 ``density``
 scan before x^p mod G was computed on packed integers, and the 1,672-digit
 ``lift`` at p = 47, the nu(F') = 1 ``lift`` at p = 3, the p = 2 and
 negative-base ``lift`` cases and the 600-digit ``adjust`` before the Newton
-lift of a simple root ran at doubling precision, so a refactor that
+lift of a simple root ran at doubling precision, and the ``pcf``,
+``condition`` and ``correspond`` cases at d = 4, 5 and 7 (classes
+{u c : u^(d-1) = 1} of 3, 4 and 6 parameters, in and out of the permutation
+case, with and without simple-root failures) before the census walked one
+parameter per class, so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
 rational parameters, root splitting at primes from 2 to above 10^6 and a
 density scan merged from two worker processes.
 
-Exit code 3 (``exhausted``) is not covered here: the only CLI path that
-raises ``SearchExhaustedError`` is the automatic prime search of
-``construct``, which scans primes up to 10^6 before giving up, and no cheap
-input reaches that bound.  ``tests/test_cli.py``'s
-``test_exhausted_prime_search_exits_3`` lowers the bound to 50 instead and
-pins the exit code and payload.
+Exit code 3 (``exhausted``) is not covered here.  Two CLI paths raise
+``SearchExhaustedError``: the automatic prime search of ``construct``, which
+scans primes up to 10^6 before giving up, so that no cheap input reaches its
+bound; and the work bound of ``lift`` and ``adjust``, whose inputs ran with no
+bound before it and never finished, so they have no recorded bytes.
+``tests/test_cli.py``'s ``test_exhausted_prime_search_exits_3`` lowers the
+prime bound to 50 and pins the exit code and payload, and
+``test_lift_beyond_the_work_bound_exits_3`` runs the lift and the adjust past
+the work bound in a subprocess.
 
 ``PYTHONPATH=src python tests/test_golden_cli.py`` prints ``id exit sha256``
 for every case: run it at the parent commit to record new cases, or after an
@@ -230,6 +237,10 @@ CASES = [
      "47727def08f61521c7e35ba5eaca6c10fdc49b8098342cb70b9a4b94576df8cc"),
     ("pcf-permutation", "pcf --d 3 --p 101", 0,
      "adc9e49a5928345da70076be4727d98291cc9abf4710762bcf9a2db609e8e197"),
+    ("pcf-septic-permutation", "pcf --d 7 --p 223", 0,
+     "f47728dbd5abe0daf987c729c531db83203596b83db8ee2c9d3d9b3044fe8803"),
+    ("pcf-quartic", "pcf --d 4 --p 31", 0,
+     "e331f07c5ed4aaa2f2087808356265a9efef618363eb99729bfc61fbbc804ebe"),
     ("condition-star-star", "condition --d 2 --p 13", 0,
      "fff9e8d9ac376deee8196f4edeb983f7a647e76238601916b1f03bac5f1464b3"),
     ("condition-bounded", "condition --d 2 --p 23 --max-period 4", 0,
@@ -240,6 +251,12 @@ CASES = [
      "3bee7f1cf8c8a7324ad20ba275ad9562dfd006fe221a86a0f21ad28ee3ae0d16"),
     ("condition-star-cubic", "condition --d 3 --p 1009 --n 4", 0,
      "fcda086e63636b433900fbc77f2a91aec28864da3256f326d599378f23d94dc8"),
+    ("condition-quintic-permutation", "condition --d 5 --p 173", 0,
+     "eae7cb477e9b7059d33af4439fc401c9a465e5d13ac1dbfb0797aa5b2ab7e0c4"),
+    ("condition-quartic", "condition --d 4 --p 43", 0,
+     "0682403eb8c7a9c8276c21559dbb114ce2720e53b33fa494fb32ee6828c46880"),
+    ("condition-star-quartic", "condition --d 4 --p 997 --n 3", 0,
+     "a73b104342d19cc681641b9c8c8afb6ca642929cfc72f1b9d33115550fbb0d6b"),
     ("correspond", "correspond --d 2 --p 13 --precision 5", 0,
      "caca001be11cc702c7349a9790073f3c6053ff4c99fb86bd89b5ce7434cc33f9"),
     ("correspond-cubic", "correspond --d 3 --p 11 --precision 8", 0,
@@ -248,6 +265,8 @@ CASES = [
      "4fac1ee35ba68f035377e105e8e8745676e58bf41d1ed5b27a7c994ed7f400e6"),
     ("correspond-small-prime", "correspond --d 3 --p 3 --precision 3", 0,
      "c5db3b032e4640173bc3a392eb88c750e6c978a4b30ed48ec3ab507829a271b8"),
+    ("correspond-septic", "correspond --d 7 --p 19 --precision 6", 0,
+     "407a34b3466001112e7364929af30d293f048d93f017bdd07f685e4a51b7e3ee"),
     ("density-json", "density --d 2 --n 3 --limit 300", 0,
      "994fe6d675afa9aebb2dfb0a4680f5e9f1d9b6e05eb856174011273b76761e03"),
     ("density-csv", "density --d 3 --n 2 --limit 120 --csv", 0,

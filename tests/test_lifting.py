@@ -10,6 +10,7 @@ from critorbit import (
     InternalConsistencyError,
     LiftResult,
     Residue,
+    SearchExhaustedError,
     adjust_power,
     find_base,
     gleason_degree,
@@ -86,6 +87,16 @@ class TestHenselLift:
         monkeypatch.setattr(lifting, "_NEWTON_SLACK", -(12).bit_length())
         with pytest.raises(InternalConsistencyError, match="within 0 steps"):
             hensel_lift(2, 3, 5, 1, 12)
+
+    def test_work_bound_is_checked_before_any_walk(self, monkeypatch):
+        # n * (precision * bits(5))^2 is 3 * (7 * 3)^2 = 1323 at precision 7
+        # and 1728 at precision 8
+        monkeypatch.setattr(lifting, "_LIFT_WORK_LIMIT", 1323)
+        assert hensel_lift(2, 3, 5, 1, 7).lifted_value.value == 13891
+        monkeypatch.setattr(lifting, "period_type_mod", None)  # the first walk
+        with pytest.raises(SearchExhaustedError) as info:
+            hensel_lift(2, 3, 5, 1, 8)
+        assert info.value.bound == 1323
 
     def test_wrong_period_rejected(self):
         with pytest.raises(ValueError, match="period"):

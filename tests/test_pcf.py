@@ -1,4 +1,8 @@
+from math import gcd
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critorbit import (
     PeriodType,
@@ -8,12 +12,14 @@ from critorbit import (
     correspondence_report,
     discriminant_mod_p,
     enumerate_pcf,
+    find_base,
     gleason_degree,
     gleason_poly,
     primes_up_to,
 )
+from critorbit import pcf
 
-from oracles import orbit_walk
+from oracles import _orbit_and_derivative, orbit_walk
 
 # (d, p) for d = 2, 3 with p < 200 and d = 4, 5 with p < 100
 DEGREE_PRIME_PAIRS = [
@@ -196,3 +202,73 @@ def test_condition_star_failures_are_the_period_n_star_star_failures(d):
                 assert failures == [c for c, m in star_star if m == n], (p, n)
                 assert ok == (not failures)
     assert failing  # e.g. d = 2 fails at 13, 23, 137, 211 and 251
+
+
+def _oracle_failures(d, p):
+    """(c, n) for every c with 0 of exact period n that is not a simple root of
+    f^n(0), by one plain walk per parameter."""
+    failures = []
+    for c in range(p):
+        tail, n = orbit_walk(d, c, p)
+        if tail == 0 and _orbit_and_derivative(d, c, p, n)[1] == 0:
+            failures.append((c, n))
+    return failures
+
+
+class TestCensusByClass:
+    """The census walks one c per class {u c : u^(d-1) = 1}, and in the
+    permutation case (gcd(d, p - 1) = 1) walks back to 0 carrying the
+    derivative; every row and verdict must be the per-parameter one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 8), p=st.sampled_from(primes_up_to(399)))
+    # p = 2 and 3, p | d, and classes of 3, 4 and 6 parameters with failures
+    @example(d=2, p=2)
+    @example(d=3, p=2)
+    @example(d=4, p=2)
+    @example(d=6, p=3)
+    @example(d=3, p=3)
+    @example(d=5, p=5)
+    @example(d=7, p=7)
+    @example(d=4, p=43)
+    @example(d=5, p=173)
+    @example(d=7, p=223)
+    def test_rows_and_failures_match_per_parameter_walks(self, d, p):
+        census = enumerate_pcf(d, p)
+        rows = {**census.periodic, **census.preperiodic}
+        assert rows == {c: PeriodType(*orbit_walk(d, c, p)) for c in range(p)}
+        expected = _oracle_failures(d, p)
+        assert condition_star_star_failures(d, p) == expected
+        assert condition_star_star_failures(d, p, max_period=3) == [
+            (c, n) for c, n in expected if n <= 3
+        ]
+        periods = sorted({t.period for t in census.periodic.values()})
+        for n in sorted(set(periods[:2]) | {n for _, n in expected}):
+            ok, failures = check_condition_star(d, p, n)
+            assert failures == [c for c, m in expected if m == n], n
+            assert ok == (not failures)
+            # the class rule keeps the scan ascending: the smallest base
+            assert find_base(d, n, p) == min(c for c in census.periodic
+                                             if census.periodic[c].period == n)
+
+    @pytest.mark.parametrize("d,p,walker", [
+        (3, 809, "_return_walk"),  # p = 2 mod 3: x^3 + c permutes F_p
+        (3, 811, "period_type_mod"),
+        (2, 809, "period_type_mod"),
+        (4, 43, "period_type_mod"),
+        (5, 173, "_return_walk"),
+        (7, 223, "_return_walk"),
+    ])
+    def test_one_walk_per_class(self, monkeypatch, d, p, walker):
+        # c = 0 alone, and (p - 1) / gcd(d - 1, p - 1) classes of nonzero c:
+        # about half the parameters of a cubic census, all of a quadratic one
+        calls = []
+        real = getattr(pcf, walker)
+        monkeypatch.setattr(pcf, walker, lambda *args: calls.append(args) or real(*args))
+        enumerate_pcf(d, p)
+        assert len(calls) == 1 + (p - 1) // gcd(d - 1, p - 1)
+
+    def test_permutation_case_runs_no_second_derivative_walk(self, monkeypatch):
+        monkeypatch.setattr(pcf, "_derivative_walk", None)
+        assert condition_star_star_failures(3, 809) == _oracle_failures(3, 809)
+        assert check_condition_star(5, 173, 34) == (False, [20, 43, 130, 153])

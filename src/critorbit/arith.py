@@ -232,6 +232,8 @@ def factorize(x: int, trial_limit: int = 10**6, rho_iterations: int = 200_000) -
     """
     if x <= 1:
         raise ValueError("factorize requires an integer > 1")
+    if rho_iterations < 0:
+        raise ValueError("rho budget must be >= 0")
     counts: dict[int, int] = {}
     rest = x
     for p in (2, 3, 5):

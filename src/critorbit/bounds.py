@@ -302,8 +302,8 @@ def maximality_certificate(
     when feasible, then an ascending prime scan with the given budget.  Gaps
     are recorded, not raised.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
+    if m < 1 or scan_budget < 0:
+        raise ValueError("need m >= 1 and a scan budget >= 0")
     entries = []
     missing = []
     for n in range(1, m + 1):

@@ -150,7 +150,7 @@ def _cmd_lift(args) -> tuple[str, dict]:
 
 
 def _cmd_adjust(args) -> tuple[str, dict]:
-    precision = args.precision or args.r + 2
+    precision = args.r + 2 if args.precision is None else args.precision
     lift = hensel_lift(args.d, args.n, args.p, _parse_int(args.c0), precision)
     c_r = adjust_power(lift, args.r)
     return OK, {

@@ -90,6 +90,8 @@ def empirical_density(d: int, n: int, limit: int, jobs: int = 1) -> EmpiricalDen
     ``jobs`` > 1 splits the prime range into contiguous chunks scanned in
     worker processes; the ordered merge keeps the result deterministic.
     """
+    if jobs < 1:
+        raise ValueError("need jobs >= 1 worker processes")
     primes = _primes(limit)
     if jobs <= 1 or len(primes) < 4 * jobs:
         rows = _scan(d, n, primes)

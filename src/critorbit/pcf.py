@@ -9,12 +9,14 @@ periodic parameter is a simple root of its orbit-value polynomial.
 The census walks one parameter per class {u c : u^(d-1) = 1 in F_p}.  For such
 a u, x -> u x conjugates x^d + c to x^d + u c and fixes 0, so the class shares
 its period type; and F_n(u c) = u F_n(c) for F_n(c) = f^n(0), so
-F_n'(u c) = F_n'(c) and the class shares its simple-root verdict too.  A walk
-of a nonzero c answers for gcd(d - 1, p - 1) parameters, one for d = 2.  When
-gcd(d, p - 1) = 1, x^d + c permutes F_p and 0 is purely periodic: the walk
-returns to 0 and carries F_n'(c) on the way, so the verdict costs nothing
-more.  Otherwise the verdict is an n-step derivative walk, taken where a
-check asks for it.
+F_n'(u c) = F_n'(c) and the class shares its simple-root verdict too.  A class
+is a fibre of c -> c^(d-1), since c'^(d-1) = c^(d-1) exactly when c'/c is a
+(d-1)-th root of unity, so c^(d-1) keys the classes already walked, and {0} is
+a fibre of its own.  A walk of a nonzero c answers for gcd(d - 1, p - 1)
+parameters, one for d = 2.  When gcd(d, p - 1) = 1, x^d + c permutes F_p and
+0 is purely periodic: the walk returns to 0 and carries F_n'(c) on the way, so
+the verdict costs nothing more.  Otherwise the verdict is an n-step derivative
+walk, taken where a check asks for it.
 """
 
 from __future__ import annotations
@@ -89,13 +91,14 @@ def _class_rows(d: int, p: int, candidates: Iterable[int]
     if d < 2:
         raise ValueError("degree must be >= 2")
     permutes = gcd(d, p - 1) == 1
-    others = _roots_of_unity(d - 1, p)[1:]
-    # rows of the class members still ahead of a walked c; in an ascending
-    # scan every class is walked at its smallest member
-    ahead: dict[int, tuple[int, PeriodType, bool | None]] = {}
+    # with gcd(d - 1, p - 1) = 1 every class is a single parameter
+    shared = gcd(d - 1, p - 1) > 1
+    walked: dict[int, tuple[PeriodType, bool | None]] = {}  # keyed by c^(d-1)
     for c in candidates:
-        row = ahead.pop(c, None)
-        if row is None:
+        key = pow(c, d - 1, p) if shared else None
+        if key in walked:
+            ptype, simple = walked[key]
+        else:
             if permutes:
                 period, derivative = _return_walk(d, c, p)
                 ptype, simple = PeriodType(0, period), derivative != 0
@@ -106,26 +109,9 @@ def _class_rows(d: int, p: int, candidates: Iterable[int]
                 # check_condition_star_star); the benchmark's next revision
                 # can drop both
                 ptype, simple = period_type_mod(d, Residue(p, 1, c))[0], None
-            row = c, ptype, simple
-            if c and others:
-                for u in others:
-                    member = u * c % p
-                    ahead[member] = member, ptype, simple
-        yield row
-
-
-def _roots_of_unity(k: int, p: int) -> list[int]:
-    """The u in F_p with u^k = 1, starting with 1: the powers of an element of
-    order g = gcd(k, p - 1), which F_p* (cyclic) has among its g-th roots of
-    unity a^((p - 1)/g)."""
-    g = gcd(k, p - 1)
-    for a in range(1, p):
-        z = pow(a, (p - 1) // g, p)
-        group = [1]
-        while (x := group[-1] * z % p) != 1:
-            group.append(x)
-        if len(group) == g:
-            return group
+            if shared:
+                walked[key] = ptype, simple
+        yield c, ptype, simple
 
 
 def _is_simple_root(d: int, n: int, p: int, c: int, known: bool | None = None) -> bool:

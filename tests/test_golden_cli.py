@@ -25,7 +25,9 @@ lift of a simple root ran at doubling precision, and the ``pcf``,
 ``condition`` and ``correspond`` cases at d = 4, 5 and 7 (classes
 {u c : u^(d-1) = 1} of 3, 4 and 6 parameters, in and out of the permutation
 case, with and without simple-root failures) before the census walked one
-parameter per class, so a refactor that
+parameter per class, and the ``construct`` cases with pinned primes above
+10^6 at d = 3 and d = 4 (Gleason roots in classes of 2 and of 3) before the
+census keyed its classes by c^(d-1), so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
@@ -124,6 +126,10 @@ FILES = {
     # prime with no base of exact period 3
     "spec_large": _spec(2, [(4, 1000033, 2), (5, 1000003, 1)]),
     "spec_no_base_large": _spec(2, [(3, 1000003, 1)]),
+    # the same branch at d = 3 and d = 4 with primes = 1 mod 3, where the
+    # Gleason roots come in classes {u c : u^(d-1) = 1} of 2 and of 3
+    "spec_large_cubic": _spec(3, [(3, 1000099, 2), (4, 1000081, 1)]),
+    "spec_large_quartic": _spec(4, [(3, 1000117, 1), (2, 1000081, 2)]),
     "cert": CERT,
     "tampered": TAMPERED,
     "witnesses": {"1": "5", "2": "3"},
@@ -221,6 +227,10 @@ CASES = [
      "bd6c3f1c4e36f451e1ad71bc6d8d9ce3b06cbfae3bf5e6e499cc1a1fbd1da698"),
     ("construct-pinned-large-primes", "construct --spec {spec_large}", 0,
      "46e2378acd7dbf810812e4eacb12e5490b4604e36793db7711a3c1f1fe3028bb"),
+    ("construct-pinned-large-cubic", "construct --spec {spec_large_cubic}", 0,
+     "4bcc364770cb56f7609a16b08adb618b80bfc14e3cf8b90c0349fa32cf24d99e"),
+    ("construct-pinned-large-quartic", "construct --spec {spec_large_quartic}", 0,
+     "d36fc92594ccbf56c5eb1aae2d88ff2897f0074ca0dd8abedd70e8610567b590"),
     ("construct-no-base-large", "construct --spec {spec_no_base_large}", 2,
      "553c7bf98e41d9faf2f36d11ef27d9b3907399298e148176dca9d8caf2bfb433"),
     ("construct-no-base", "construct --spec {spec_no_base}", 2,

@@ -154,7 +154,13 @@ class TestNewtonSchedule:
         assume(tail == 0 and n <= 6)
         expected = full_width_lift(d, n, p, c0, precision)
         assume(expected is not None)
-        assert hensel_lift(d, n, p, c0, precision) == expected
+        lift = hensel_lift(d, n, p, c0, precision)
+        assert lift == expected
+        # primitivity needs no walk after the shift check: the lift lies over
+        # c0, where the orbit of 0 mod p first returns to 0 at step n
+        c = lift.lifted_value.value
+        assert (c - c0) % p == 0
+        assert orbit_walk(d, c, p) == (0, n)
 
     def test_work_grows_like_one_full_width_walk(self, monkeypatch):
         # doubling precision walks at p^1, p^2, ..., p^N: under 4 full widths

@@ -251,6 +251,22 @@ class TestCensusByClass:
             assert find_base(d, n, p) == min(c for c in census.periodic
                                              if census.periodic[c].period == n)
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 8), p=st.sampled_from(primes_up_to(399)), data=st.data())
+    def test_sparse_and_shuffled_candidates(self, d, p, data):
+        # construct's base search hands the scan a sparse list of Gleason
+        # roots, in which a class may come in any order, or only in part
+        chosen = sorted(data.draw(st.sets(st.integers(0, p - 1)), label="chosen"))
+        shuffled = data.draw(st.permutations(chosen), label="shuffled")
+        for candidates in (chosen, shuffled):
+            rows = list(pcf._scan(d, p, candidates=candidates))
+            assert [c for c, _, _ in rows] == candidates
+            for c, ptype, simple in rows:
+                tail, n = orbit_walk(d, c, p)
+                assert ptype == PeriodType(tail, n), c
+                if simple is not None:
+                    assert simple == (_orbit_and_derivative(d, c, p, n)[1] != 0), c
+
     @pytest.mark.parametrize("d,p,walker", [
         (3, 809, "_return_walk"),  # p = 2 mod 3: x^3 + c permutes F_p
         (3, 811, "period_type_mod"),

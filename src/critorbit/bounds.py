@@ -102,6 +102,8 @@ def count_primitive_primes(
     Returns (count, complete); with an incomplete factorization the count is a
     lower bound over the primes actually found.
     """
+    if rho_iterations < 0:
+        raise ValueError("rho budget must be >= 0")
     param = RationalParam.of(c)
     a_n, _ = exact_iterate(d, param, n)
     if a_n == 0:

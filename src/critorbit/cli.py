@@ -220,6 +220,8 @@ def _cmd_correspond(args) -> tuple[str, dict]:
 
 
 def _cmd_density(args) -> tuple[str, dict | str]:
+    if args.threads < 1:
+        raise ValueError("need jobs >= 1 worker processes")
     if args.csv:
         rows = density_scan_rows(args.d, args.n, args.limit)
         return OK, "p,has_root\n" + "".join(f"{p},{int(flag)}\n" for p, flag in rows)

@@ -8,6 +8,16 @@ unconditional lower bound is 1/D!.  The empirical side scans primes up to a
 limit and counts root existence, skipping (and reporting) the finitely many
 primes dividing d or the discriminant.
 
+The Gleason polynomial G is monic, so it has a root mod p exactly when p
+divides G(c) for some c in [0, p).  The scan answers every prime below
+``_BATCH_LIMIT`` = 2^14 at once: the product of G(c) over c below the largest
+of them, reduced mod their product Q up a product tree, then reduced down a
+remainder tree to each prime.  Reducing mod Q is a schoolbook division, so
+that cost grows like the square of the largest prime, while the per-prime
+``has_root_mod_p`` (gcd with x^p - x) grows about linearly; larger primes
+take that test.  Where G(c) = 0 exactly (n = 1, c = 0) the product is 0 and
+every prime has a root, as it should.
+
 All formula paths are exact rationals; floats appear only in display code.
 """
 
@@ -16,13 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from .arith import primes_up_to
-from .gleason import gleason_degree, gleason_discriminant, gleason_poly, has_root_mod_p
+from .gleason import (
+    IntPoly,
+    gleason_degree,
+    gleason_discriminant,
+    gleason_poly,
+    has_root_mod_p,
+)
 
 CONDITIONAL_NOTE = "valid only under symmetric Galois group"
+_BATCH_LIMIT = 2**14  # primes below this share one product of G(c)
 
 
 def fpp_symmetric(degree: int) -> Fraction:
@@ -65,12 +82,45 @@ class EmpiricalDensity(NamedTuple):
     skipped: tuple[int, ...]  # primes dividing d or the discriminant
 
 
+def _dividing_primes(x: int, primes: list[int]) -> set[int]:
+    """The primes among the distinct ``primes`` that divide x, by a remainder
+    tree: x is reduced mod each node of their product tree, root first."""
+    levels = [primes]
+    while len(levels[-1]) > 1:
+        row = levels[-1]
+        levels.append([prod(row[i : i + 2]) for i in range(0, len(row), 2)])
+    rems = [x]
+    for row in reversed(levels):
+        rems = [rems[i // 2] % m for i, m in enumerate(row)]
+    return {p for p, r in zip(primes, rems) if r == 0}
+
+
+def _rooted_primes(poly: IntPoly, primes: list[int]) -> set[int]:
+    """The primes (ascending) at which the monic poly has a root: those
+    dividing the product of poly(c) over c below the largest of them, reduced
+    mod their product Q at every level of a balanced product tree."""
+    q = prod(primes)
+    values = [poly.evaluate(c) for c in range(primes[-1])]
+    while len(values) > 1:
+        values = [prod(values[i : i + 2]) % q for i in range(0, len(values), 2)]
+    return _dividing_primes(values[0], primes)
+
+
 def _scan(d: int, n: int, primes: list[int]) -> list[tuple[int, bool | None]]:
-    """(p, has_root) per prime; None where p divides d or the discriminant."""
+    """(p, has_root) per prime; None where p divides d or the discriminant.
+
+    G_{d,n} is monic of degree >= 1, so ``_rooted_primes`` answers the primes
+    below ``_BATCH_LIMIT`` exactly, from one product of G(c); its cost grows
+    like the square of the largest prime, so each larger prime runs
+    ``has_root_mod_p``.  A chunk of a pooled scan applies the same rule.
+    """
     poly = gleason_poly(d, n)
     disc = gleason_discriminant(d, n)
+    small = [p for p in primes if p < _BATCH_LIMIT]
+    rooted = _rooted_primes(poly, small) if small else set()
     return [
         (p, None if d % p == 0 or disc % p == 0
+         else p in rooted if p < _BATCH_LIMIT
          else has_root_mod_p(poly, p))
         for p in primes
     ]

@@ -623,14 +623,17 @@ class TestInputMapping:
     # precision 0 once fell back to r + 2 and printed ok, where lift exits 2;
     # a negative budget once made certify exit 1 with a certificate that
     # scanned nothing, and factor, rho and density with 0 or -3 threads
-    # printed ok
+    # printed ok; rho at |a_n| = 1 (c = 1, n = 1) never reached factorize's
+    # check, and density --csv never read --threads
     @pytest.mark.parametrize("argv,error", [
         ("adjust --d 2 --n 3 --p 5 --c0 1 --r 2 --precision 0", "precision >= 1"),
         ("certify --d 2 --c 3 --m 2 --budget -1", "scan budget >= 0"),
         ("factor --x 91 --budget -5", "rho budget must be >= 0"),
         ("rho --d 2 --c 3 --n 2 --budget -1", "rho budget must be >= 0"),
+        ("rho --d 2 --c 1 --n 1 --budget -1", "rho budget must be >= 0"),
         ("density --d 2 --n 3 --limit 100 --threads 0", "jobs >= 1"),
         ("density --d 2 --n 3 --limit 100 --threads -3", "jobs >= 1"),
+        ("density --d 2 --n 3 --limit 20 --csv --threads 0", "jobs >= 1"),
     ])
     def test_precision_budget_and_threads_out_of_range_are_invalid_input(
             self, capsys, argv, error):

@@ -1,7 +1,10 @@
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critorbit import (
     density_lower_bound,
@@ -12,7 +15,15 @@ from critorbit import (
     limit_error_bound,
     primes_up_to,
 )
+from critorbit import density
 from critorbit.density import CONDITIONAL_NOTE, density_scan_rows
+from critorbit.gleason import gleason_discriminant, gleason_poly, has_root_mod_p
+
+# (d, n) whose Gleason polynomial has degree <= 120; (4, 5) and (5, 5), of
+# degrees 255 and 624, take a second or more for the discriminant alone
+_SCAN_CASES = [
+    (d, n) for d in range(2, 6) for n in range(1, 6) if gleason_degree(d, n) <= 120
+]
 
 
 class TestFppSymmetric:
@@ -110,6 +121,48 @@ class TestEmpiricalDensity:
     def test_limit_validation(self):
         with pytest.raises(ValueError):
             empirical_density(2, 3, 1)
+
+
+class TestBatchedRootTest:
+    """Primes below ``_BATCH_LIMIT`` share one product of G(c); lowered to 50,
+    it splits every scan below 400 into a batched and a per-prime part."""
+
+    @given(case=st.sampled_from(_SCAN_CASES), limit=st.integers(2, 400))
+    @example(case=(2, 1), limit=100)  # G(0) = 0: the product is 0
+    @example(case=(3, 5), limit=400)  # degree 80
+    @example(case=(2, 3), limit=47)  # the batch alone, up to a prime limit
+    @example(case=(2, 3), limit=53)  # 47 batched, 53 per prime
+    @settings(max_examples=30, deadline=None)
+    def test_scan_matches_the_per_prime_root_test(self, case, limit):
+        d, n = case
+        poly = gleason_poly(d, n)
+        disc = gleason_discriminant(d, n)
+        primes = primes_up_to(limit)
+        expected = [
+            (p, None if d % p == 0 or disc % p == 0 else has_root_mod_p(poly, p))
+            for p in primes
+        ]
+        half = len(primes) // 2
+        with mock.patch.object(density, "_BATCH_LIMIT", 50):
+            assert density._scan(d, n, primes) == expected
+            # the two chunks of a pooled scan, each with its own batch
+            chunks = density._scan(d, n, primes[:half]) + density._scan(d, n, primes[half:])
+            assert chunks == expected
+            skipped = tuple(p for p, hit in expected if hit is None)
+            hits = sum(1 for _, hit in expected if hit)
+            for jobs in (1, 2):
+                result = empirical_density(d, n, limit, jobs=jobs)
+                assert (result.hits, result.skipped) == (hits, skipped)
+
+    @given(
+        x=st.integers(-(10**40), 10**40),
+        primes=st.lists(st.sampled_from(primes_up_to(300)), unique=True, max_size=40),
+    )
+    @example(x=0, primes=[2, 3, 5, 7, 11])
+    @example(x=2 * 3 * 5 * 7 * 11 * 13, primes=[13, 2, 7, 17])
+    @settings(max_examples=200, deadline=None)
+    def test_remainder_tree_matches_trial_division(self, x, primes):
+        assert density._dividing_primes(x, primes) == {p for p in primes if x % p == 0}
 
 
 class TestDensityReport:

@@ -27,7 +27,11 @@ lift of a simple root ran at doubling precision, and the ``pcf``,
 case, with and without simple-root failures) before the census walked one
 parameter per class, and the ``construct`` cases with pinned primes above
 10^6 at d = 3 and d = 4 (Gleason roots in classes of 2 and of 3) before the
-census keyed its classes by c^(d-1), so a refactor that
+census keyed its classes by c^(d-1), and the five ``density`` cases at
+n = 1 (G(0) = 0, so the product of G(c) is 0), at d = 4, at the prime limit
+997 in CSV, and at limit 17000, which straddles 2^14, alone and with two
+workers, before the primes below 2^14 shared one product of G(c) reduced
+mod their product, so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
@@ -285,6 +289,17 @@ CASES = [
      "512cb8602717f8d99633a277c060db90abc5f582874542d11c8a91559b304c48"),
     ("density-degree-80", "density --d 3 --n 5 --limit 200", 0,
      "c5758e7084595f5865ff67a454a7b1054b572ca97cc91b3988e9a0b1284f2ba3"),
+    ("density-zero-product", "density --d 2 --n 1 --limit 50", 0,
+     "42a4cf3f26546f0f4fd4b1b7cf4e5b0e5fa66a4a27c859a2a001605257ff70d0"),
+    ("density-quartic", "density --d 4 --n 3 --limit 500", 0,
+     "9b391f71ff5d081a4248334dc4a3336102ec298178ea531251be6e7cd5a53b22"),
+    ("density-csv-prime-limit", "density --d 2 --n 4 --limit 997 --csv", 0,
+     "390ff51b204b31a86acdfe96240a581e464bb51fe8c0e3ba66dbc30a3f007aeb"),
+    ("density-straddles-batch-limit", "density --d 2 --n 3 --limit 17000", 0,
+     "2d10739ce2db6fefb777e7a2b9cb7df14e144a56b89ecadd39e5e1e3ac0cfa4d"),
+    ("density-straddles-batch-limit-pooled",
+     "density --d 2 --n 3 --limit 17000 --threads 2", 0,
+     "2d10739ce2db6fefb777e7a2b9cb7df14e144a56b89ecadd39e5e1e3ac0cfa4d"),
     ("bound-rational", "bound --d 2 --n 4 --c=-3/2", 0,
      "418925bfe8e0e7d41272bbdc7177be32042036726217950a60597ed8cafbdbf1"),
     ("bound-pcf", "bound --d 2 --n 3 --c 0", 2,

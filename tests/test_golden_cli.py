@@ -31,7 +31,11 @@ census keyed its classes by c^(d-1), and the five ``density`` cases at
 n = 1 (G(0) = 0, so the product of G(c) is 0), at d = 4, at the prime limit
 997 in CSV, and at limit 17000, which straddles 2^14, alone and with two
 workers, before the primes below 2^14 shared one product of G(c) reduced
-mod their product, so a refactor that
+mod their product, and the ``primitive`` and ``valuation`` cases at n a proper
+multiple of the rank r(p) of p (the first i with p | a_i) and at n not a
+multiple of it, for integer and rational c, at p = 2, at p = d = 3 and for
+c = -1, d even at odd and even n, before both came from the rank's one walk,
+so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
@@ -173,6 +177,36 @@ CASES = [
      "b10fb0c9f9e12dba4cda0c264de6a81ba96ed138667c6af578cf11ca293edfd1"),
     ("primitive-zero-iterate", "primitive --d 2 --c 0 --n 3 --p 5", 2,
      "361b006ead95c0e4b86c735dfea038a2610e051e1d8b114a19f08d1feca593b0"),
+    ("primitive-rank-multiple", "primitive --d 2 --c 1 --n 6 --p 5", 0,
+     "5e1b5e6604bdb3fec6e98f665d822566cc4e7a4f7d0b12bd2f78c76adeaa61d9"),
+    ("valuation-rank-multiple", "valuation --d 2 --c 1 --n 6 --p 5", 0,
+     "3a22c8b86bd15cf88cbc587936f5c245d51f13c1d58dd85a52ad68a50653c734"),
+    ("primitive-not-rank-multiple", "primitive --d 2 --c 1 --n 4 --p 5", 0,
+     "21ee7e9f7ce6c4b7f3cc6f3e8e1521ec5bd799510b0efd40353518b3623d1649"),
+    ("valuation-not-rank-multiple", "valuation --d 2 --c 1 --n 5 --p 5", 0,
+     "8321e233ed0accf9ed17c525163d584ef5e26b85eb04fc4ce2ac4613cf5d1d28"),
+    ("primitive-rational-square", "primitive --d 2 --c=-29/4 --n 2 --p 5", 0,
+     "730627d91b7741e78557b0ef52048efbcbc07c0fd7b5a95ee10f04a06bbb3173"),
+    ("valuation-rational-rank-multiple", "valuation --d 2 --c=-29/4 --n 6 --p 5", 0,
+     "1b6c44061554e55fff17387b5b92cacd02af6cd3a890988be4d5d5b4efb6fdab"),
+    ("valuation-rational-not-rank-multiple", "valuation --d 2 --c=-29/4 --n 3 --p 5", 0,
+     "3b2fb6735a7a65730c0eacbcaaf5adb446951763f8e718b1d01f005cdb6516d1"),
+    ("primitive-p2", "primitive --d 2 --c -29 --n 2 --p 2", 0,
+     "4680538dd19a76b81ffb89564ffcc3aaefc80e57ef5d2472219adb9ecee1d89b"),
+    ("valuation-p2-rank-multiple", "valuation --d 2 --c -29 --n 4 --p 2", 0,
+     "d44e2f3d2be7062a4d91053db5d5928dcd7fa8ed2d92953a1721c41a73ca80cf"),
+    ("primitive-p-divides-degree", "primitive --d 3 --c -28 --n 3 --p 3", 0,
+     "13267529761592cd2d94efb203c1a669ed4c335199197f90a02ee8e9f0af2948"),
+    ("valuation-p-divides-degree", "valuation --d 3 --c -28 --n 6 --p 3", 0,
+     "b3f87f887ac387d87d5226205afd0449128a2a871dddca191f18436831ad45d2"),
+    ("primitive-zero-cycle-odd", "primitive --d 2 --c -1 --n 3 --p 5", 0,
+     "e45bb1641365de1c20694feefd2bfbeb3573eb8a5a2323ae927965e15dfd7f27"),
+    ("valuation-zero-cycle-odd", "valuation --d 4 --c -1 --n 5 --p 3", 0,
+     "b4d9dd5569b80398fa3271601b836fb2736716b948b28b1c2ed82e0a4f77af3f"),
+    ("valuation-zero-cycle-even", "valuation --d 2 --c -1 --n 4 --p 5 --cap 64", 0,
+     "00557bf05291ca4724319f814c7a4025b0659f195a3b212c75ec7d173779f6eb"),
+    ("primitive-zero-cycle-even", "primitive --d 2 --c -1 --n 2 --p 5", 2,
+     "5471d6dc75230bffae37a9c4414d7699bbb7992b25edf3a9de99c1ff4f9c0439"),
     ("gleason", "gleason --d 2 --n 4", 0,
      "7b71c87b21c9a805570722534ae4bf9c9437c85b6dd42cad1e57acf3a4964f8d"),
     ("disc", "disc --d 3 --n 3", 0,

@@ -39,12 +39,15 @@ _MR_RANDOM_ROUNDS = 64  # error probability <= 4^-64 = 2^-128
 
 _SIEVE_LIMIT = 10**7  # sieving beyond this is out of scope
 
-_rng = random.Random(0x5EED)
+
+def set_random_seed(seed: int | None = None) -> None:
+    """Reseed the RNG behind probabilistic primality and Pollard rho; None
+    restores the seed that every process starts at."""
+    _rng.seed(0x5EED if seed is None else seed)
 
 
-def set_random_seed(seed: int) -> None:
-    """Reseed the RNG behind probabilistic primality and Pollard rho."""
-    _rng.seed(seed)
+_rng = random.Random()
+set_random_seed()
 
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
@@ -109,10 +112,13 @@ def val_p(x: int, p: int) -> int:
         raise ValueError("infinite valuation: val_p(0) is undefined")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
+    e, step = 0, 1  # step doubles while p^step divides, else halves: O(log(e)^2)
+    while step:
+        quotient, rest = divmod(x, p**step)
+        if rest:
+            step //= 2
+        else:
+            x, e, step = quotient, e + step, 2 * step
     return e
 
 

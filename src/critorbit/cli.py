@@ -363,8 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
-        if args.seed is not None:
-            set_random_seed(args.seed)
+        set_random_seed(args.seed)  # no --seed: the default, whatever ran before
         outcome = args.handler(args)
     except HenselHypothesisError as exc:
         outcome = (

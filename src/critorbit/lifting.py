@@ -199,4 +199,4 @@ def scan_shifts(d: int, n: int, p: int, c0: int) -> list[int]:
     p candidate shifts c0 + t*p.  All nonzero means no shift lifts to p^2."""
     if n < 1 or not is_prime(p):
         raise ValueError(f"need n >= 1 and a prime p, got n = {n}, p = {p}")
-    return [_critical_walk(d, c0 + t * p, p * p, n)[0] for t in range(p)]
+    return [_critical_walk(d, c0 + t * p, p * p, n) for t in range(p)]

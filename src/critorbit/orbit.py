@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import NamedTuple
 
 from .arith import Residue, is_prime, val_p
@@ -161,9 +161,7 @@ def _orbit_period_brent(
             period = 0
         hare = _step(hare, d, c, modulus)
         period += 1
-    tortoise = hare = x0
-    for _ in range(period):
-        hare = _step(hare, d, c, modulus)
+    tortoise, hare = x0, _critical_walk(d, c, modulus, period, x0)
     tail = 0
     while tortoise != hare:
         tortoise = _step(tortoise, d, c, modulus)
@@ -172,18 +170,12 @@ def _orbit_period_brent(
     return tail, period, tortoise
 
 
-def _critical_walk(
-    d: int, c: int, modulus: int, n: int, start: int = 0
-) -> tuple[int, int | None]:
-    """f^n(start) in Z/modulus and the first i <= n with f^i(start) = 0 (None
-    if there is none), in n steps and constant memory."""
+def _critical_walk(d: int, c: int, modulus: int, n: int, start: int = 0) -> int:
+    """f^n(start) in Z/modulus, in n steps and constant memory."""
     x = start % modulus
-    first_zero = None
-    for i in range(1, n + 1):
+    for _ in range(n):
         x = (pow(x, d, modulus) + c) % modulus
-        if x == 0 and first_zero is None:
-            first_zero = i
-    return x, first_zero
+    return x
 
 
 def _reduced_param(param: RationalParam, modulus: int) -> int:
@@ -224,18 +216,18 @@ def _period_type_levels(
         # attracting: the period stays k1, so the entry is the first x_i
         # with x_i = x_(i + k1)
         x = start % modulus
-        lead = _critical_walk(d, c, modulus, k1, x)[0]
+        lead = _critical_walk(d, c, modulus, k1, x)
         tail = 0
         while x != lead:
             x, lead = _step(x, d, c, modulus), _step(lead, d, c, modulus)
             tail += 1
         return tail, k1, x
-    entry = _critical_walk(d, c, modulus, tail, start)[0]
+    entry = _critical_walk(d, c, modulus, tail, start)
     period = k1
     for s in range(1, t):
         low, high = p**s, p ** (s + 1)
         y = entry % high
-        b = (_critical_walk(d, c, high, period, y)[0] - y) % high // low
+        b = (_critical_walk(d, c, high, period, y) - y) % high // low
         a = pow(lam, period // k1, p)
         if s >= 2 and a == 1 and b and (p != 2 or _multiplier(d, c, 4, y, period) == 1):
             return tail, period * p ** (t - s), entry
@@ -277,12 +269,31 @@ class Valuation(NamedTuple):
 def iterate_valuation(
     d: int, c, n: int, p: int, cap: int = _DEFAULT_VALUATION_CAP
 ) -> Valuation:
-    """nu_p of the n-th orbit numerator a_n, by adaptive-precision modular orbits.
+    """nu_p of the n-th orbit numerator a_n, from the rank r(p) of p.
 
-    Starts at precision p^8 and doubles until a_n is nonzero mod p^T; if the
-    cap is reached the result is the flag "at least cap".  An a_n that is
-    exactly 0 gets that flag at once.
+    One walk of min(n, p) steps mod p finds r(p).  The answer is 0 unless r(p)
+    divides n, and then nu_p(a_r), from walks of r(p) steps mod p^8, p^16, ...
+    At the cap, or if a_r = 0 exactly, it is the flag "at least cap".
     """
+    param = _checked_param(
+        d, c, n, p, cap, "p divides the denominator; no numerator valuation at p"
+    )
+    return _rank_valuation(d, param, n, p, cap)[1]
+
+
+def is_primitive_divisor(d: int, c, n: int, p: int) -> tuple[bool, int]:
+    """Whether p divides a_n but none of a_1..a_{n-1}; returns (flag, nu_p(a_n)).
+
+    Precondition: p does not divide the denominator of c, and a_n != 0.
+    """
+    param = _checked_param(d, c, n, p, inf, "p divides the denominator of c")
+    primitive, nu = _rank_valuation(d, param, n, p, inf)
+    if not nu.exact:
+        raise ZeroIterateError(f"f^{n}(0) = 0 for c = {param} (PCF collision)")
+    return primitive, nu.value
+
+
+def _checked_param(d: int, c, n: int, p: int, cap: float, error: str) -> RationalParam:
     param = RationalParam.of(c)
     if d < 2:
         raise ValueError("degree must be >= 2")
@@ -293,62 +304,45 @@ def iterate_valuation(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if param.b % p == 0:
-        raise ValueError("p divides the denominator; no numerator valuation at p")
-    if _iterate_is_exactly_zero(d, param, n):
-        return Valuation(cap, False)  # no precision ever shows a nonzero digit
-    return _adaptive_valuation(
-        lambda t: _critical_walk(d, _reduced_param(param, p**t), p**t, n)[0], p, cap
+        raise ValueError(error)
+    return param
+
+
+def _rank_valuation(
+    d: int, param: RationalParam, n: int, p: int, cap: float
+) -> tuple[bool, Valuation]:
+    """Whether the rank r(p), the first i with p | a_i, is n; and nu_p(a_n).
+
+    r(p) <= p if it exists.  The critical orbit is a rigid divisibility sequence
+    (Rice, Integers 7, 2007): p | a_n iff r(p) | n, and nu_p(a_n) = nu_p(a_r).
+    """
+    c, x = _reduced_param(param, p), 0
+    for rank in range(1, min(n, p) + 1):
+        x = (pow(x, d, p) + c) % p
+        if x == 0:
+            break
+    if x or n % rank:
+        return False, Valuation(0, True)
+    if param.b == 1 and (param.a == 0 or (param.a == -1 and d % 2 == 0)):
+        # c = 0, or c = -1 with d even: 0 is periodic, so a_r = 0 exactly
+        return rank == n, Valuation(cap, False)
+    return rank == n, _adaptive_valuation(
+        lambda t: _critical_walk(d, _reduced_param(param, p**t), p**t, rank), p, cap
     )
 
 
-def _adaptive_valuation(value_mod, p: int, cap: int) -> Valuation:
+def _adaptive_valuation(value_mod, p: int, cap: float) -> Valuation:
     """nu_p of a value given by its residue ``value_mod(t)`` mod p^t for any t.
 
     Starts at t = 8 and doubles t until the value is nonzero mod p^t; at the
-    cap the result is the flag "at least cap".
+    cap (inf for a nonzero value) the result is the flag "at least cap".
     """
-    t = 8
-    while True:
-        t = min(t, cap)
+    t = min(8, cap)
+    value = value_mod(t)
+    while value == 0 and t < cap:
+        t = min(2 * t, cap)
         value = value_mod(t)
-        if value != 0:
-            return Valuation(val_p(value, p), True)
-        if t >= cap:
-            return Valuation(cap, False)
-        t *= 2
-
-
-def is_primitive_divisor(d: int, c, n: int, p: int) -> tuple[bool, int]:
-    """Whether p divides a_n but none of a_1..a_{n-1}; returns (flag, nu_p(a_n)).
-
-    Precondition: p does not divide the denominator of c, and a_n != 0.
-    """
-    param = RationalParam.of(c)
-    if d < 2:
-        raise ValueError("degree must be >= 2")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if param.b % p == 0:
-        raise ValueError("p divides the denominator of c")
-    if _iterate_is_exactly_zero(d, param, n):
-        raise ZeroIterateError(f"f^{n}(0) = 0 for c = {param} (PCF collision)")
-    an, first_zero = _critical_walk(d, _reduced_param(param, p), p, n)
-    if an != 0:
-        return False, 0
-    nu = iterate_valuation(d, param, n, p)
-    return first_zero == n, nu.value
-
-
-def _iterate_is_exactly_zero(d: int, param: RationalParam, n: int) -> bool:
-    # a_n = 0 happens only for the integer PCF families with 0 in the cycle:
-    # c = 0 (all n) and c = -1 with d even (even n).
-    if not param.is_integer:
-        return False
-    if param.a == 0:
-        return True
-    if param.a == -1 and d % 2 == 0:
-        return n % 2 == 0
-    return False
+    return Valuation(val_p(value, p), True) if value else Valuation(cap, False)
 
 
 def orbit_with_derivative(d: int, c: Residue, n: int) -> tuple[Residue, Residue]:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from critorbit import (
@@ -33,6 +33,19 @@ class TestValP:
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="infinite valuation"):
             val_p(0, 5)
+
+    def test_power_above_sixty_thousand(self):
+        # once one division per power of p: 66000 divisions of a 153,000-bit x
+        assert val_p(-7 * 5**66000, 5) == 66000
+
+    @given(
+        e=st.integers(0, 3000),
+        u=st.integers(-(10**20), 10**20),
+        p=st.sampled_from(SMALL_PRIMES),
+    )
+    def test_exact_powers(self, e, u, p):
+        assume(u % p != 0)
+        assert val_p(u * p**e, p) == e
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):

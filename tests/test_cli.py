@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critorbit import DivisibilitySpec, InternalConsistencyError, MaximalityCertificate
-from critorbit import constructor
+from critorbit import arith, constructor
 from critorbit.cli import build_parser, main
 from test_acceptance import C29
 from test_bounds import published_valid_entries
@@ -165,6 +165,23 @@ class TestBasicCommands:
         assert doc["payload"]["complete"] is False
 
 
+    def test_factor_does_not_depend_on_earlier_calls(self, capsys):
+        # nine draws past the default seed leave the RNG where rho splits
+        # psi_12 within its budget; each call starts from the default seed
+        arith.set_random_seed()
+        for _ in range(9):
+            arith._rng.random()
+        code, doc = run_json(capsys, "factor", "--x", "318665857834031151167461")
+        assert (code, doc["payload"]["factors"], doc["payload"]["complete"]) == (0, [], False)
+
+    def test_primitive_index_below_one_is_invalid_input(self, capsys):
+        for c in ("0", "1"):
+            code, doc = run_json(
+                capsys, "primitive", "--d", "2", "--c", c, "--n", "0", "--p", "5"
+            )
+            assert (code, doc["payload"]["error"]) == (2, "iterate index must be >= 1")
+
+
 class TestSpecWorkflow:
     @pytest.fixture
     def spec_file(self, tmp_path):
@@ -205,6 +222,16 @@ class TestSpecWorkflow:
             "status": "exhausted",
             "payload": {"bound": 50, "error": "no admissible prime for iterate 30 within bound 50"},
         }
+
+    def test_construct_with_a_power_above_the_default_cap(self, capsys, tmp_path):
+        # nu = 66000 exceeds 2^16: the final check once read the capped 65536
+        # as the valuation and exited 4
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"d": 2, "constraints": [{"n": 3, "primes": [{"p": 5, "k": 66000}]}]}
+        ))
+        code, doc = run_json(capsys, "construct", "--spec", str(path))
+        assert (code, doc["payload"]["all_verified"]) == (0, True)
 
     def test_construct_then_verify(self, capsys, spec_file):
         code, doc = run_json(capsys, "construct", "--spec", spec_file)
@@ -515,6 +542,19 @@ def test_deep_growing_orbit_answers_at_once():
     payload = json.loads(proc.stdout)["payload"]
     assert payload["period_type"] == {"m": 2, "n": 2 * 5**18}
     assert payload["cycle_entry"] == "12"
+
+
+@pytest.mark.parametrize("argv,payload", [
+    ("primitive --d 2 --c 3 --n 1000000000 --p 5", {"primitive": False, "valuation": 0}),
+    ("valuation --d 2 --c 1 --n 1000000002 --p 5", {"valuation": 1, "exact": True}),
+])
+def test_huge_iterate_index_answers_from_the_rank(argv, payload):
+    # a walk of n steps never finished here; the rank of 5 is 3 at c = 1 and
+    # absent at c = 3, and nu_5(a_(10^9 + 2)) = nu_5(a_3) = nu_5(5)
+    proc = _run_cli_process(argv.split(), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    got = json.loads(proc.stdout)["payload"]
+    assert {key: got[key] for key in payload} == payload
 
 
 _ANY = st.recursive(

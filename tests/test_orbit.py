@@ -248,16 +248,40 @@ class TestIsPrimitiveDivisor:
         with pytest.raises(ZeroIterateError):
             is_primitive_divisor(2, -1, 4, 5)
 
+    def test_valuation_above_the_default_cap(self):
+        # a_1 = 2^70000: the valuation is read with no cap, not cut at 2^16
+        assert is_primitive_divisor(2, 2**70000, 1, 2) == (True, 70000)
+
+    def test_index_below_one_rejected(self):
+        # c = 0 once answered n = 0 with "f^0(0) = 0 (PCF collision)"
+        for c in (0, 1):
+            with pytest.raises(ValueError, match="iterate index must be >= 1"):
+                is_primitive_divisor(2, c, 0, 5)
+
+    def test_index_far_beyond_the_rank(self):
+        # r(5) = 3 at c = 1 and 5 never divides the orbit at c = 3: the walk
+        # mod 5 stops within 5 steps whatever n is
+        assert is_primitive_divisor(2, 1, 10**18, 5) == (False, 0)
+        assert is_primitive_divisor(2, 1, 3 * 10**18, 5) == (False, 1)
+        assert iterate_valuation(2, 1, 3 * 10**18, 5) == (1, True)
+        assert is_primitive_divisor(2, 3, 10**18, 5) == (False, 0)
+
+    # n up to 8 reaches proper multiples of the rank r(p) <= 4 at most primes;
+    # d^(n-1) <= 256 keeps the exact numerators below ~600 digits
     @given(
-        d=st.sampled_from([2, 3]),
+        d=st.integers(2, 5),
         a=st.integers(-60, 60),
         b=st.integers(1, 30),
-        n=st.integers(1, 5),
+        n=st.integers(1, 8),
         p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]),
     )
-    @settings(max_examples=150, deadline=None)
+    @example(d=2, a=1, b=1, n=6, p=5)
+    @example(d=3, a=-28, b=1, n=6, p=3)
+    @example(d=2, a=-29, b=4, n=6, p=5)
+    @example(d=4, a=-1, b=1, n=5, p=3)
+    @settings(max_examples=200, deadline=None)
     def test_rational_parameters_match_exact_numerators(self, d, a, b, n, p):
-        assume(gcd(a, b) == 1 and b % p != 0)
+        assume(gcd(a, b) == 1 and b % p != 0 and d ** (n - 1) <= 256)
         c = RationalParam(a, b)
         numerators = [exact_iterate(d, c, i)[0] for i in range(1, n + 1)]
         assume(numerators[-1] != 0)

@@ -35,7 +35,14 @@ mod their product, and the ``primitive`` and ``valuation`` cases at n a proper
 multiple of the rank r(p) of p (the first i with p | a_i) and at n not a
 multiple of it, for integer and rational c, at p = 2, at p = d = 3 and for
 c = -1, d even at odd and even n, before both came from the rank's one walk,
-so a refactor that
+and ``certify --d 2 --c 13 --m 8 --budget 50`` (rho skipped at n = 7, where
+the witness is 29), ``certify --d 2 --c 3 --m 8 --budget 50``, ``certify
+--d 2 --c -12 --m 7 --budget 50`` (the n = 7 witness 19588213 comes from an
+incomplete rho), ``factor --x 375194125579`` (7^2 * 13 * 19 * 31 * 1000003:
+the composite 247 = 13 * 19 precedes 13 on the mod-30 wheel) and ``rho --d 2
+--c 9 --n 5`` before trial division collected its divisors in one pass over
+the wheel and the witness search ran rho only when no trial prime was a
+witness, so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
@@ -358,6 +365,21 @@ CASES = [
      "159c5c8e15ffc404dceeb043bec2b1f87a35992b60b5961e01924d50bb61cc8d"),
     ("factor-malformed", "factor --x 12a", 2,
      "468a178842c9e7ba0c017ef4e198e16c570e736444f560e4e0d6c22093ae5abd"),
+    # certificate witnesses among the trial primes while rho could still
+    # split the rest (n = 7 at c = 13 is 29), iterates with no witness at all
+    # (n = 2, 3 at c = 3) and a witness from an incomplete rho (n = 7 at
+    # c = -12 is 19588213); and 7^2 * 13 * 19 * 31 * 1000003, whose composite
+    # divisor 247 = 13 * 19 sits in an earlier class mod 30 than 13 and 19
+    ("certify-trial-witness", "certify --d 2 --c 13 --m 8 --budget 50", 1,
+     "47d92829d6b0db6d1a782237c24999e551a2364bb5f7e04ffef82ae782899a62"),
+    ("certify-missing-iterates", "certify --d 2 --c 3 --m 8 --budget 50", 1,
+     "14a5a6e1a309456eb253645d3e1a15f1ec6ce4f963721268d3305725db5348a9"),
+    ("certify-incomplete-rho", "certify --d 2 --c -12 --m 7 --budget 50", 0,
+     "2b563c13e6b00f8c538d19dab96fe013af914699c915716b747220b919084164"),
+    ("factor-composite-classes", "factor --x 375194125579", 0,
+     "36b7fde0f4469d41dd1caec22fa3c5fef32019dab1e1d0e17af00d580470dc59"),
+    ("rho-complete", "rho --d 2 --c 9 --n 5", 0,
+     "92e175d84d49bd2e18919630c08b132fb3b979edd1dc706c3eb5dbaff8f648a5"),
 ]
 
 

@@ -230,6 +230,37 @@ def _brent_rho(n: int, max_iterations: int) -> int | None:
     return None
 
 
+def _trial_divide(x: int, trial_limit: int) -> tuple[dict[int, int], int]:
+    """Divide out 2, 3, 5 and every divisor coprime to 30 up to
+    min(trial_limit, isqrt(rest)): the prime counts, ascending, and the rest.
+
+    The rest is 1, a prime, or has no prime factor up to trial_limit.
+    """
+    counts: dict[int, int] = {}
+    rest = x
+    for p in (2, 3, 5):
+        while rest % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            rest //= p
+    bound = min(trial_limit, isqrt(rest))
+    divisors = [
+        d
+        for first in (7, 11, 13, 17, 19, 23, 29, 31)
+        for d in range(first, bound + 1, 30)
+        if rest % d == 0
+    ]
+    # ascending, so every prime factor of a composite divisor (such as
+    # 247 = 13 * 19, whose class mod 30 comes first) is out before it
+    for d in sorted(divisors):
+        e = 0
+        while rest % d == 0:
+            rest //= d
+            e += 1
+        if e:
+            counts[d] = e
+    return counts, rest
+
+
 def factorize(x: int, trial_limit: int = 10**6, rho_iterations: int = 200_000) -> Factorization:
     """Factor x > 1 by trial division then Brent rho with a bounded budget.
 
@@ -240,24 +271,7 @@ def factorize(x: int, trial_limit: int = 10**6, rho_iterations: int = 200_000) -
         raise ValueError("factorize requires an integer > 1")
     if rho_iterations < 0:
         raise ValueError("rho budget must be >= 0")
-    counts: dict[int, int] = {}
-    rest = x
-    for p in (2, 3, 5):
-        while rest % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rest //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # mod-30 wheel starting at 7
-    wi = 0
-    while d <= trial_limit and d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            counts[d] = e
-        d += wheel[wi]
-        wi = (wi + 1) % len(wheel)
+    counts, rest = _trial_divide(x, trial_limit)
     cofactor = 1
     pending = [rest] if rest > 1 else []
     while pending:

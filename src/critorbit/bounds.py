@@ -16,10 +16,11 @@ scale to iterates whose exact values would have billions of digits.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import factorize, next_prime
+from .arith import _trial_divide, factorize, next_prime
 from .errors import SizeGuardError, ZeroIterateError
 from .orbit import (
     RationalParam,
@@ -261,20 +262,29 @@ def _entry_for(d: int, c: int, n: int, p: int) -> CertificateEntry:
     )
 
 
+def _prime_factors(x: int) -> Iterator[int]:
+    """The primes of x > 1 in ascending order: those up to 10^6 by trial
+    division, then, only when the caller asks for more, those rho finds in
+    the rest, which all exceed them.  Rho only below ~120 digits (it cannot
+    split numbers that size anyway, and each iteration costs a full-width
+    modular square)."""
+    counts, rest = _trial_divide(x, 10**6)
+    yield from counts
+    if rest > 1:
+        rho = 200_000 if x < 10**120 else 0
+        yield from factorize(rest, trial_limit=1, rho_iterations=rho).primes()
+
+
 def _search_witness(
     d: int, c: int, n: int, scan_budget: int
 ) -> CertificateEntry | None:
-    # factor-based candidates first, when the exact iterate is desk-scale;
-    # rho only below ~120 digits (it cannot split numbers that size anyway,
-    # and each iteration costs a full-width modular square)
+    # factor-based candidates first, when the exact iterate is desk-scale
     try:
         a_n, _ = exact_iterate(d, c, n, digit_guard=_FACTOR_DIGIT_GUARD)
     except SizeGuardError:
         a_n = None
     if a_n is not None and abs(a_n) > 1:
-        rho = 200_000 if abs(a_n) < 10**120 else 0
-        fact = factorize(abs(a_n), rho_iterations=rho)
-        for p in fact.primes():
+        for p in _prime_factors(abs(a_n)):
             if d % p == 0:
                 continue
             entry = _entry_for(d, c, n, p)

@@ -2,8 +2,9 @@
 
 These deliberately use different algorithms from the library: fraction-exact
 Sylvester determinants instead of CRT resultants, direct residue scans instead
-of gcd machinery, plain dict-based orbit walks, and a Newton lift that takes
-every step at full width.
+of gcd machinery, plain dict-based orbit walks, a Newton lift that takes
+every step at full width, and trial division that steps along the mod-30
+wheel one candidate at a time.
 """
 
 from fractions import Fraction
@@ -146,3 +147,27 @@ def full_width_lift(d: int, n: int, p: int, c0: int, precision: int):
         nu_derivative=nu_derivative,
         base_c0=c0,
     )
+
+
+def wheel_trial_divide(x: int, trial_limit: int) -> tuple[dict[int, int], int]:
+    """Trial division by 2, 3, 5, then along the mod-30 wheel from 7 while the
+    candidate is at most trial_limit and its square at most the rest."""
+    counts: dict[int, int] = {}
+    rest = x
+    for p in (2, 3, 5):
+        while rest % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            rest //= p
+    d = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # mod-30 wheel starting at 7
+    wi = 0
+    while d <= trial_limit and d * d <= rest:
+        if rest % d == 0:
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            counts[d] = e
+        d += wheel[wi]
+        wi = (wi + 1) % len(wheel)
+    return counts, rest

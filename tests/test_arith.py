@@ -1,9 +1,12 @@
+import math
 import random
 
+import oracles
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from critorbit import arith
 from critorbit import (
     Factorization,
     Residue,
@@ -194,6 +197,80 @@ def test_factorize_matches_sympy():
     for x, trial_limit in cases:
         fact = factorize(x, trial_limit=trial_limit)
         assert fact.complete and fact.factors == tuple(sorted(sympy.factorint(x).items())), x
+
+
+# primes whose products trip a one-pass trial division: 13 * 19 = 247 and
+# 7 * 31 = 217 lie in class 7 mod 30, ahead of their factors' classes, and
+# primes near 10^6 sit on both sides of the default trial limit
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 19, 31, 37, 97, 101, 997, 7919,
+                 999959, 999983, 1000003, 1000033, 2**31 - 1)
+_TRIAL_LIMITS = (1, 6, 7, 30, 31, 1000, 10**6)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(_TRIAL_PRIMES), st.integers(1, 3)),
+             min_size=1, max_size=5),
+    st.sampled_from(_TRIAL_LIMITS),
+)
+@settings(max_examples=150, deadline=None)
+def test_trial_divide_matches_the_wheel_loop(prime_powers, trial_limit):
+    x = math.prod(p**e for p, e in prime_powers)
+    assume(x > 1)
+    counts, rest = arith._trial_divide(x, trial_limit)
+    assert list(counts) == sorted(counts)
+    assert _prime_rest_counted(counts, rest) == _prime_rest_counted(
+        *oracles.wheel_trial_divide(x, trial_limit))
+
+
+@pytest.mark.parametrize("trial_limit", _TRIAL_LIMITS)
+@pytest.mark.parametrize("x", [
+    13 * 19 * 1000003, 7 * 31 * 999983, 7**2 * 13 * 19 * 31 * 1000003,
+    13 * 19 * 7 * 31 * 1000003 * 1000033, 999983**2, 1000003**2 * 1000033,
+    (2**31 - 1) * 1000003 * 7, 2**10 * 3**4 * 5**3, 7**2 * 11,
+])
+def test_trial_divide_composite_classes(x, trial_limit):
+    assert _prime_rest_counted(*arith._trial_divide(x, trial_limit)) == _prime_rest_counted(
+        *oracles.wheel_trial_divide(x, trial_limit))
+
+
+def _prime_rest_counted(counts, rest):
+    """(counts, rest) with a prime rest moved into the counts.  The wheel loop
+    stops when a candidate's square passes the shrinking rest, the one pass at
+    the square root of the rest it started from: at 7^2 * 11 and limit 30 the
+    loop leaves the prime 11 and the pass divides it out.  factorize counts a
+    prime rest either way."""
+    if rest > 1 and is_prime(rest):
+        return {**counts, rest: 1}, 1
+    return counts, rest
+
+
+@pytest.mark.parametrize("x,trial_limit", [
+    (13 * 19 * 1000003 * 1000033, 10**6),  # rest 1000003 * 1000033: rho splits it
+    (7 * 31 * 1000003**2, 10**6),  # a square rest: no rho
+    (247 * 999983 * 1000003, 1000),  # rest above the limit, rho from there
+    ((10**15 + 37) * (10**15 + 91) * 13 * 19, 10**4),  # rho runs out of budget
+    (2**64 + 1, 10**6),
+])
+def test_factorize_gives_rho_the_arguments_of_the_wheel_loop(monkeypatch, x, trial_limit):
+    real_rho = arith._brent_rho
+    calls = []
+
+    def spy(n, max_iterations):
+        calls.append((n, max_iterations))
+        return real_rho(n, max_iterations)
+
+    monkeypatch.setattr(arith, "_brent_rho", spy)
+    arith.set_random_seed()
+    got = factorize(x, trial_limit=trial_limit, rho_iterations=2_000)
+    new_calls, calls[:] = calls[:], []
+    # the old path: the wheel loop, then the same tail on its rest (with
+    # trial_limit=1 factorize only retries 2, 3 and 5, which are gone)
+    counts, rest = oracles.wheel_trial_divide(x, trial_limit)
+    arith.set_random_seed()
+    tail = factorize(rest, trial_limit=1, rho_iterations=2_000)
+    assert new_calls == calls
+    assert got.factors == tuple(sorted({**counts, **dict(tail.factors)}.items()))
+    assert got.cofactor == tail.cofactor
 
 
 def test_is_prime_matches_sympy_around_the_deterministic_bound():

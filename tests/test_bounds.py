@@ -17,7 +17,7 @@ from critorbit import (
     rho_upper_bound_general,
     verify_certificate,
 )
-from critorbit import bounds
+from critorbit import arith, bounds
 from critorbit.arith import Factorization
 from critorbit.bounds import euler_phi
 from test_acceptance import C29, PRIMES_29
@@ -285,12 +285,14 @@ class TestMaximalityCertificate:
 def test_witness_search_sizes_a_n_under_the_default_int_to_str_limit(monkeypatch):
     # a_14 at c = 3 has 4,439 digits; sizing it by its decimal string raised
     # ValueError under the interpreter's default limit, which the CLI lifts
+    # trial division finds nothing, so the rho stage sees every a_n
     budgets = []
 
-    def factorize_stub(x, rho_iterations):
+    def factorize_stub(x, trial_limit, rho_iterations):
         budgets.append(rho_iterations)
         return Factorization(factors=(), cofactor=x, complete=False)
 
+    monkeypatch.setattr(bounds, "_trial_divide", lambda x, trial_limit: ({}, x))
     monkeypatch.setattr(bounds, "factorize", factorize_stub)
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # cli.main lifts it for the whole process
@@ -301,6 +303,17 @@ def test_witness_search_sizes_a_n_under_the_default_int_to_str_limit(monkeypatch
         sys.set_int_max_str_digits(saved)
     # rho only below 120 digits: none for a_14, the full budget for a_3 = 147
     assert budgets == [0, 200_000]
+
+
+def test_witness_search_skips_rho_when_a_trial_prime_is_a_witness(monkeypatch):
+    # a_7 at c = 13 has 73 digits, so rho would get its full budget; the
+    # witness 29 is found by trial division first
+    def no_rho(n, max_iterations):
+        raise AssertionError("rho ran")
+
+    monkeypatch.setattr(arith, "_brent_rho", no_rho)
+    entry = bounds._search_witness(2, 13, 7, 0)
+    assert (entry.p, entry.valid) == (29, True)
 
 
 class TestEulerPhi:

@@ -519,6 +519,17 @@ def test_lift_beyond_the_work_bound_exits_3(argv):
     assert "work bound n * (precision * bits(p))^2" in doc["payload"]["error"]
 
 
+@pytest.mark.parametrize("command", ["primitive", "valuation"])
+def test_rank_walk_beyond_its_step_budget_exits_3(command):
+    # n and p near 10^12: the walk for the rank of p once ran min(n, p) steps
+    argv = [command, "--d", "2", "--c", "3", "--n", "1000000000000", "--p", "1000000000039"]
+    proc = _run_cli_process(argv, timeout=60)
+    assert proc.returncode == 3
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "exhausted"
+    assert doc["payload"]["bound"] == 10**7
+
+
 def test_lift_prints_a_modulus_above_the_int_to_str_limit(no_int_str_limit):
     # 5^6200 has 4334 digits, more than the interpreter's default limit of 4300
     argv = ["lift", "--d", "2", "--n", "3", "--p", "5", "--c0", "1", "--precision", "6200"]

@@ -207,6 +207,17 @@ _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 19, 31, 37, 97, 101, 997, 7919,
 _TRIAL_LIMITS = (1, 6, 7, 30, 31, 1000, 10**6)
 
 
+def _prime_rest_counted(counts, rest):
+    """(counts, rest) with a prime rest moved into the counts.  The wheel loop
+    stops when a candidate's square passes the shrinking rest, the one pass at
+    the square root of the rest it started from: at 7^2 * 11 and limit 30 the
+    loop leaves the prime 11 and the pass divides it out.  factorize counts a
+    prime rest either way."""
+    if rest > 1 and is_prime(rest):
+        return {**counts, rest: 1}, 1
+    return counts, rest
+
+
 @given(
     st.lists(st.tuples(st.sampled_from(_TRIAL_PRIMES), st.integers(1, 3)),
              min_size=1, max_size=5),
@@ -231,17 +242,6 @@ def test_trial_divide_matches_the_wheel_loop(prime_powers, trial_limit):
 def test_trial_divide_composite_classes(x, trial_limit):
     assert _prime_rest_counted(*arith._trial_divide(x, trial_limit)) == _prime_rest_counted(
         *oracles.wheel_trial_divide(x, trial_limit))
-
-
-def _prime_rest_counted(counts, rest):
-    """(counts, rest) with a prime rest moved into the counts.  The wheel loop
-    stops when a candidate's square passes the shrinking rest, the one pass at
-    the square root of the rest it started from: at 7^2 * 11 and limit 30 the
-    loop leaves the prime 11 and the pass divides it out.  factorize counts a
-    prime rest either way."""
-    if rest > 1 and is_prime(rest):
-        return {**counts, rest: 1}, 1
-    return counts, rest
 
 
 @pytest.mark.parametrize("x,trial_limit", [

@@ -42,7 +42,12 @@ incomplete rho), ``factor --x 375194125579`` (7^2 * 13 * 19 * 31 * 1000003:
 the composite 247 = 13 * 19 precedes 13 on the mod-30 wheel) and ``rho --d 2
 --c 9 --n 5`` before trial division collected its divisors in one pass over
 the wheel and the witness search ran rho only when no trial prime was a
-witness, so a refactor that
+witness, and ``condition --d 2 --p 251 --n 19`` (the failure 126, at n above
+the square root of p), ``condition --d 3 --p 67 --n 10`` (the class {9, 58}),
+``condition --d 4 --p 43 --n 8`` (the class {5, 8, 30}, outside the
+permutation case) and ``lift --d 2 --n 2 --p 5 --c0 2 --precision 3`` (a
+strictly preperiodic base, found tail 2, period 2) before exact period n came
+from the first zero of the critical orbit, so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
@@ -380,6 +385,17 @@ CASES = [
      "36b7fde0f4469d41dd1caec22fa3c5fef32019dab1e1d0e17af00d580470dc59"),
     ("rho-complete", "rho --d 2 --c 9 --n 5", 0,
      "92e175d84d49bd2e18919630c08b132fb3b979edd1dc706c3eb5dbaff8f648a5"),
+    # exact period n decided by the first zero: a failure at n > sqrt(p),
+    # classes of 2 and of 3 parameters outside the permutation case, and a
+    # strictly preperiodic lift base whose message names its period type
+    ("condition-star-beyond-root", "condition --d 2 --p 251 --n 19", 0,
+     "104aacd88534bc6d658be6c8d6163114d04a9d2507d02219ad8374994036ee3a"),
+    ("condition-star-cubic-class", "condition --d 3 --p 67 --n 10", 0,
+     "aeaf110b36044dcb2913b04ded84d82484047c4cc79f01c4ac236c02351db02e"),
+    ("condition-star-quartic-class", "condition --d 4 --p 43 --n 8", 0,
+     "1ed3a280d223e28c72e0e9c247e4c04dcf6bf5ad5310ff7d7512a4783de41a67"),
+    ("lift-preperiodic-base", "lift --d 2 --n 2 --p 5 --c0 2 --precision 3", 2,
+     "f22d91238276eadabb22dc116fdf3ad69b6efd326f6cde8f840dc068bc965bcc"),
 ]
 
 

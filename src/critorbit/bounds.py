@@ -60,11 +60,7 @@ def rho_upper_bound(d: int, n: int, c) -> float:
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     if param.is_integer:
-        kind = classify_integer_param(d, param.a)
-        if kind.kind == "PCF-integer":
-            raise ValueError(
-                f"infinite-orbit precondition fails: {kind.reason} is critically finite"
-            )
+        _check_infinite_orbit(d, param.a)
     a, b = param.a, param.b
     if d % 2 == 1 and a < 0:
         a = -a
@@ -82,6 +78,12 @@ def rho_upper_bound(d: int, n: int, c) -> float:
     if a < b:
         return (scale - 1) * (1 / (d - 1) + log_b) + log_a1
     return scale * (1 / (d - 1) + log_a1) - 1 / (d - 1)
+
+
+def _check_infinite_orbit(d: int, c: int) -> None:
+    kind = classify_integer_param(d, c)
+    if kind.kind == "PCF-integer":
+        raise ValueError(f"infinite-orbit precondition fails: {kind.reason} is critically finite")
 
 
 def rho_upper_bound_general(d: int, n: int, c) -> float:
@@ -312,10 +314,11 @@ def maximality_certificate(
     ``witnesses`` pins candidate primes per iterate (verification mode); any
     iterate without a pinned prime is searched: candidates from factoring a_n
     when feasible, then an ascending prime scan with the given budget.  Gaps
-    are recorded, not raised.
+    are recorded, not raised; a critically finite c, which has none, is refused.
     """
     if m < 1 or scan_budget < 0:
         raise ValueError("need m >= 1 and a scan budget >= 0")
+    _check_infinite_orbit(d, c)
     entries = []
     missing = []
     for n in range(1, m + 1):

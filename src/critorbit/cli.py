@@ -28,6 +28,7 @@ import sys
 from . import __version__
 from .arith import Residue, factorize, set_random_seed
 from .bounds import (
+    _DEFAULT_PRIME_SCAN_BUDGET,
     MaximalityCertificate,
     count_primitive_primes,
     maximality_certificate,
@@ -44,6 +45,7 @@ from .errors import (
 from .gleason import discriminant, gleason_poly, roots_mod_p
 from .lifting import adjust_power, hensel_lift
 from .orbit import (
+    _DEFAULT_VALUATION_CAP,
     RationalParam,
     is_primitive_divisor,
     iterate_valuation,
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = add("orbit", _cmd_orbit, "d p c", "period type of the critical orbit in Z/p^t")
     cmd.add_argument("--t", type=int, default=1)
     cmd = add("valuation", _cmd_valuation, "d c n p", "nu_p of the n-th orbit numerator")
-    cmd.add_argument("--cap", type=int, default=1 << 16)
+    cmd.add_argument("--cap", type=int, default=_DEFAULT_VALUATION_CAP)
     add("primitive", _cmd_primitive, "d c n p", "primitive-divisor test with valuation")
     add("gleason", _cmd_gleason, "d n", "period-n Gleason polynomial coefficients")
     add("disc", _cmd_disc, "d n", "discriminant of the period-n Gleason polynomial")
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--c", default=None)
     cmd.add_argument("--m", type=int, default=None)
     cmd.add_argument("--witnesses", default=None, help="JSON map iterate -> prime")
-    cmd.add_argument("--budget", type=int, default=100_000)
+    cmd.add_argument("--budget", type=int, default=_DEFAULT_PRIME_SCAN_BUDGET)
     cmd.add_argument("--check", default=None, help="re-verify a certificate JSON file")
 
     cmd = add("factor", _cmd_factor, "x", "bounded integer factorization")

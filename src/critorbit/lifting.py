@@ -27,11 +27,12 @@ from itertools import islice
 from .arith import Residue, is_prime, val_p
 from .errors import HenselHypothesisError, InternalConsistencyError, SearchExhaustedError
 from .orbit import (
+    RationalParam,
     _adaptive_valuation,
     _critical_walk,
     _derivative_walk,
+    _rank_valuation,
     is_primitive_divisor,
-    iterate_valuation,
     period_type_mod,
 )
 
@@ -85,14 +86,14 @@ def hensel_lift(d: int, n: int, p: int, c0: int, precision: int) -> LiftResult:
             f"work bound n * (precision * bits(p))^2 <= {_LIFT_WORK_LIMIT}",
             _LIFT_WORK_LIMIT,
         )
-    ptype, _ = period_type_mod(d, Residue.reduce(c0, p, 1))
-    if ptype.tail != 0 or ptype.period != n:
+    cap = 4 * (precision + 8)
+    exact_period, nu_f = _rank_valuation(d, RationalParam(c0), n, p, cap)
+    if not exact_period:
+        ptype, _ = period_type_mod(d, Residue.reduce(c0, p, 1))
         raise ValueError(
             f"0 is not periodic with exact period {n} mod {p} at c0 = {c0} "
             f"(found tail {ptype.tail}, period {ptype.period})"
         )
-    cap = 4 * (precision + 8)
-    nu_f = iterate_valuation(d, c0, n, p, cap=cap)
     nu_df = _adaptive_valuation(lambda t: _derivative_walk(d, c0, p**t, n)[1], p, cap)
     if not nu_f.exact:
         # p^cap divides f^n(c0) and cap > precision: c0 is already the root

@@ -45,9 +45,9 @@ from .errors import SearchExhaustedError, SizeGuardError, ZeroIterateError
 _HASH_ORBIT_LIMIT = 10**6
 _DEFAULT_VALUATION_CAP = 1 << 16
 _DEFAULT_DIGIT_GUARD = 2_000_000
-# the rank walk mod p gives up after this many steps without a zero (1.6 s
-# at d = 2 on a 2-vCPU host); the walks of certificates and of the benchmark
-# stay far below it
+# the first-zero walk mod p gives up after this many steps with neither a
+# zero nor a closed cycle (2 s at d = 2 on a 2-vCPU host); a typical orbit
+# closes its cycle in some sqrt(p) steps, so p below 10^12 stays far below it
 _RANK_WALK_LIMIT = 10**7
 
 
@@ -182,6 +182,36 @@ def _critical_walk(d: int, c: int, modulus: int, n: int, start: int = 0) -> int:
     return x
 
 
+def _first_zero(d: int, c: int, p: int, limit: int) -> int:
+    """The first i <= limit with f^i(0) = 0 mod p, or 0 if there is none.
+
+    0 returns at its period, at most p, so the walk takes at most min(limit, p)
+    steps; it also stops when the orbit meets Brent's tortoise (BIT 20, 1980),
+    parked at steps 1, 2, 4, ...: the orbit has closed a cycle without 0.
+    That takes at most about 3 (tail + period) steps, and stores no points.
+    Raises SearchExhaustedError after _RANK_WALK_LIMIT steps with neither.
+    """
+    steps = min(limit, p)
+    x = tortoise = 0
+    power = 1
+    for i in range(1, min(steps, _RANK_WALK_LIMIT) + 1):
+        # d = 2 stepped inline: this loop is the given-n scan's inner loop
+        x = (x * x + c) % p if d == 2 else (pow(x, d, p) + c) % p
+        if x == 0:
+            return i
+        if x == tortoise:
+            return 0
+        if i == power:
+            tortoise, power = x, 2 * power
+    if steps > _RANK_WALK_LIMIT:
+        raise SearchExhaustedError(
+            f"the critical orbit mod {p} neither returns to 0 nor closes a cycle "
+            f"within {_RANK_WALK_LIMIT} steps",
+            _RANK_WALK_LIMIT,
+        )
+    return 0
+
+
 def _reduced_param(param: RationalParam, modulus: int) -> int:
     """c = a/b as a * b^-1 in Z/modulus; b must be a unit there."""
     return param.a * pow(param.b, -1, modulus) % modulus
@@ -275,7 +305,7 @@ def iterate_valuation(
 ) -> Valuation:
     """nu_p of the n-th orbit numerator a_n, from the rank r(p) of p.
 
-    One walk of min(n, p) steps mod p finds r(p).  The answer is 0 unless r(p)
+    One walk mod p finds r(p) (see _first_zero).  The answer is 0 unless r(p)
     divides n, and then nu_p(a_r), from walks of r(p) steps mod p^8, p^16, ...
     At the cap, or if a_r = 0 exactly, it is the flag "at least cap".
     """
@@ -319,21 +349,9 @@ def _rank_valuation(
 
     r(p) <= p if it exists.  The critical orbit is a rigid divisibility sequence
     (Rice, Integers 7, 2007): p | a_n iff r(p) | n, and nu_p(a_n) = nu_p(a_r).
-    Raises SearchExhaustedError if min(n, p) exceeds _RANK_WALK_LIMIT and the
-    walk finds no zero within that many steps.
     """
-    c, x = _reduced_param(param, p), 0
-    steps = min(n, p)
-    for rank in range(1, min(steps, _RANK_WALK_LIMIT) + 1):
-        x = (pow(x, d, p) + c) % p
-        if x == 0:
-            break
-    if x and steps > _RANK_WALK_LIMIT:
-        raise SearchExhaustedError(
-            f"no zero of the critical orbit mod {p} within {_RANK_WALK_LIMIT} steps",
-            _RANK_WALK_LIMIT,
-        )
-    if x or n % rank:
+    rank = _first_zero(d, _reduced_param(param, p), p, n)
+    if not rank or n % rank:
         return False, Valuation(0, True)
     if param.b == 1 and (param.a == 0 or (param.a == -1 and d % 2 == 0)):
         # c = 0, or c = -1 with d even: 0 is periodic, so a_r = 0 exactly

@@ -28,7 +28,7 @@ from math import gcd
 from .arith import Residue, is_prime
 from .errors import HenselHypothesisError
 from .lifting import LiftResult, hensel_lift
-from .orbit import PeriodType, _derivative_walk, _return_walk, period_type_mod
+from .orbit import PeriodType, _derivative_walk, _first_zero, _return_walk, period_type_mod
 
 
 @dataclass
@@ -79,21 +79,19 @@ def _scan(d: int, p: int, n: int | None = None,
     p is checked at once and the candidates are walked lazily, in their order."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    rows = _class_rows(d, p, range(p) if candidates is None else candidates)
-    if n is None:
-        return rows
-    return (row for row in rows if row[1].tail == 0 and row[1].period == n)
+    return _class_rows(d, p, range(p) if candidates is None else candidates, n)
 
 
-def _class_rows(d: int, p: int, candidates: Iterable[int]
+def _class_rows(d: int, p: int, candidates: Iterable[int], n: int | None
                 ) -> Iterator[tuple[int, PeriodType, bool | None]]:
     # a generator, so a bad degree is reported when the first row is asked for
     if d < 2:
         raise ValueError("degree must be >= 2")
+    exact = None if n is None else PeriodType(0, n)
     permutes = gcd(d, p - 1) == 1
     # with gcd(d - 1, p - 1) = 1 every class is a single parameter
     shared = gcd(d - 1, p - 1) > 1
-    walked: dict[int, tuple[PeriodType, bool | None]] = {}  # keyed by c^(d-1)
+    walked: dict[int, tuple[PeriodType | None, bool | None]] = {}  # keyed by c^(d-1)
     for c in candidates:
         key = pow(c, d - 1, p) if shared else None
         if key in walked:
@@ -102,6 +100,9 @@ def _class_rows(d: int, p: int, candidates: Iterable[int]
             if permutes:
                 period, derivative = _return_walk(d, c, p)
                 ptype, simple = PeriodType(0, period), derivative != 0
+            elif n is not None:
+                # exact period n: the orbit's first zero is at step n
+                ptype, simple = (exact if _first_zero(d, c, p, n) == n else None), None
             else:
                 # the public call per walked class keeps the span counts that
                 # perfbench's tracer test pins (14 under enumerate_pcf at
@@ -111,7 +112,8 @@ def _class_rows(d: int, p: int, candidates: Iterable[int]
                 ptype, simple = period_type_mod(d, Residue(p, 1, c))[0], None
             if shared:
                 walked[key] = ptype, simple
-        yield c, ptype, simple
+        if n is None or ptype == exact:
+            yield c, ptype, simple
 
 
 def _is_simple_root(d: int, n: int, p: int, c: int, known: bool | None = None) -> bool:

@@ -3,8 +3,9 @@
 These deliberately use different algorithms from the library: fraction-exact
 Sylvester determinants instead of CRT resultants, direct residue scans instead
 of gcd machinery, plain dict-based orbit walks, a Newton lift that takes
-every step at full width, and trial division that steps along the mod-30
-wheel one candidate at a time.
+every step at full width, trial division that steps along the mod-30
+wheel one candidate at a time, and first zeros of the critical orbit by a
+visited set or by Floyd's tortoise and hare.
 """
 
 from fractions import Fraction
@@ -72,6 +73,48 @@ def orbit_walk(d: int, c: int, modulus: int, start: int = 0) -> tuple[int, int]:
         x = (pow(x, d, modulus) + c) % modulus
         i += 1
     return seen[x], i - seen[x]
+
+
+def dict_first_zero(d: int, c: int, p: int, limit: int) -> int:
+    """The first i <= limit with f^i(0) = 0 mod p, or 0, by a walk that stops
+    at the first point it has seen before."""
+    seen = {0}
+    x = 0
+    for i in range(1, limit + 1):
+        x = (pow(x, d, p) + c) % p
+        if x == 0:
+            return i
+        if x in seen:
+            return 0
+        seen.add(x)
+    return 0
+
+
+def floyd_first_zero(d: int, c: int, p: int, limit: int) -> int:
+    """The first i <= limit with f^i(0) = 0 mod p, or 0, in constant memory.
+
+    The hare checks every point it steps on.  When Floyd's tortoise, at half
+    its index k, meets it, k is at least the tail and a multiple of the period,
+    so the hare has seen the whole orbit.
+    """
+    slow = fast = i = 0
+    while True:
+        for _ in range(2):
+            i += 1
+            if i > limit:
+                return 0
+            fast = (pow(fast, d, p) + c) % p
+            if fast == 0:
+                return i
+        slow = (pow(slow, d, p) + c) % p
+        if slow == fast:
+            return 0
+
+
+def period_type_bases(d: int, p: int, n: int) -> list[int]:
+    """The c in F_p, ascending, where 0 has exact period n: a full period type
+    per c by dict walk, kept when it is (0, n)."""
+    return [c for c in range(p) if orbit_walk(d, c, p) == (0, n)]
 
 
 def brute_roots(coeffs: list[int], p: int) -> list[int]:

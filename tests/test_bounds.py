@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 
 import pytest
@@ -279,6 +280,27 @@ class TestMaximalityCertificate:
     def test_square_note(self):
         cert = maximality_certificate(2, -4, 1, scan_budget=10)
         assert cert.neg_c_is_square is True
+
+    @pytest.mark.parametrize("d,c,reason", [
+        (2, 0, "c=0"), (3, 0, "c=0"),
+        (2, -1, "c=-1 & d even"), (4, -1, "c=-1 & d even"),
+        (2, -2, "c=-2 & d=2"),
+    ])
+    def test_critically_finite_parameter_is_refused_before_any_search(
+            self, monkeypatch, d, c, reason):
+        # c = -2 at d = 2 once scanned the whole budget for every iterate
+        # (a_n = 2 for n >= 2) and c = -1 at d = 2 scanned it before a_2 = 0
+        monkeypatch.setattr(bounds, "_search_witness", None)
+        monkeypatch.setattr(bounds, "_entry_for", None)
+        with pytest.raises(ValueError, match=f"{re.escape(reason)} is critically finite"):
+            maximality_certificate(d, c, 3)
+        with pytest.raises(ValueError, match="critically finite"):
+            maximality_certificate(d, c, 1, witnesses={1: 3})
+
+    @pytest.mark.parametrize("d,c", [(3, -1), (3, -2), (4, -2)])
+    def test_wandering_neighbours_of_the_families_are_certified(self, d, c):
+        cert = maximality_certificate(d, c, 2, scan_budget=50)
+        assert sorted([e.n for e in cert.entries] + list(cert.missing)) == [1, 2]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")

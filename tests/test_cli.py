@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from critorbit import DivisibilitySpec, InternalConsistencyError, MaximalityCertificate
 from critorbit import arith, constructor
 from critorbit.cli import build_parser, main
+from oracles import floyd_first_zero
 from test_acceptance import C29
 from test_bounds import published_valid_entries
 
@@ -335,6 +336,15 @@ class TestCertify:
         code, doc = run_json(capsys, "certify", "--d", "2")
         assert code == 2
 
+    def test_certify_refuses_a_critically_finite_parameter(self, capsys):
+        # a_n = 2 for every n >= 2: this once scanned 8 x 100,000 primes and
+        # exited 1 with every iterate missing
+        code, doc = run_json(capsys, "certify", "--d", "2", "--c", "-2", "--m", "8")
+        assert (code, doc["status"]) == (2, "invalid-input")
+        assert doc["payload"]["error"] == (
+            "infinite-orbit precondition fails: c=-2 & d=2 is critically finite"
+        )
+
 
 class TestDensityOutput:
     def test_json_report(self, capsys):
@@ -521,13 +531,29 @@ def test_lift_beyond_the_work_bound_exits_3(argv):
 
 @pytest.mark.parametrize("command", ["primitive", "valuation"])
 def test_rank_walk_beyond_its_step_budget_exits_3(command):
-    # n and p near 10^12: the walk for the rank of p once ran min(n, p) steps
-    argv = [command, "--d", "2", "--c", "3", "--n", "1000000000000", "--p", "1000000000039"]
+    # the orbit mod p = 10^30 + 57 has about 10^15 points: the walk for the
+    # rank of p neither meets 0 nor closes its cycle within 10^7 steps
+    argv = [command, "--d", "2", "--c", "3", "--n", "1000000000000", "--p", str(10**30 + 57)]
     proc = _run_cli_process(argv, timeout=60)
     assert proc.returncode == 3
     doc = json.loads(proc.stdout)
     assert doc["status"] == "exhausted"
     assert doc["payload"]["bound"] == 10**7
+
+
+def test_rank_walk_answers_once_the_orbit_closes_its_cycle():
+    # n and p near 10^12: the walk once ran min(n, p) steps, then stopped at
+    # 10^7 with exit 3; the orbit mod p closes its cycle well before that
+    p, n = 1000000000039, 10**12
+    rank = floyd_first_zero(2, 3, p, n)
+    argv = ["--d", "2", "--c", "3", "--n", str(n), "--p", str(p)]
+    primitive = _run_cli_process(["primitive", *argv], timeout=60)
+    valuation = _run_cli_process(["valuation", *argv], timeout=60)
+    assert (primitive.returncode, valuation.returncode) == (0, 0)
+    assert rank == 0
+    assert json.loads(primitive.stdout)["payload"]["primitive"] is False
+    assert json.loads(primitive.stdout)["payload"]["valuation"] == 0
+    assert json.loads(valuation.stdout)["payload"]["valuation"] == 0
 
 
 def test_lift_prints_a_modulus_above_the_int_to_str_limit(no_int_str_limit):

@@ -93,7 +93,7 @@ class TestHenselLift:
         # and 1728 at precision 8
         monkeypatch.setattr(lifting, "_LIFT_WORK_LIMIT", 1323)
         assert hensel_lift(2, 3, 5, 1, 7).lifted_value.value == 13891
-        monkeypatch.setattr(lifting, "period_type_mod", None)  # the first walk
+        monkeypatch.setattr(lifting, "_rank_valuation", None)  # the first walk
         with pytest.raises(SearchExhaustedError) as info:
             hensel_lift(2, 3, 5, 1, 8)
         assert info.value.bound == 1323
@@ -101,6 +101,20 @@ class TestHenselLift:
     def test_wrong_period_rejected(self):
         with pytest.raises(ValueError, match="period"):
             hensel_lift(2, 4, 5, 1, 3)
+
+    def test_one_rank_walk_and_no_period_type_on_success(self, monkeypatch):
+        # the rank walk decides exact period n and gives nu(F); only the
+        # failure message builds a period type
+        calls = []
+        real = lifting._rank_valuation
+        monkeypatch.setattr(lifting, "_rank_valuation",
+                            lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(lifting, "period_type_mod", None)
+        assert hensel_lift(2, 3, 5, 1, 12) == full_width_lift(2, 3, 5, 1, 12)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"found tail 2, period 2\)"):
+            hensel_lift(2, 2, 5, 2, 3)
 
     def test_uniqueness_from_congruent_starts(self):
         # any start congruent to the lift mod p^(shift+1) converges to it

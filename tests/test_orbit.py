@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from critorbit import (
     PeriodType,
     Residue,
+    SearchExhaustedError,
     SizeGuardError,
     ZeroIterateError,
     classify_integer_param,
@@ -23,9 +24,14 @@ from critorbit import (
     primes_up_to,
 )
 from critorbit import orbit
-from critorbit.orbit import RationalParam, _orbit_period_brent, _orbit_period_ints
+from critorbit.orbit import (
+    RationalParam,
+    _first_zero,
+    _orbit_period_brent,
+    _orbit_period_ints,
+)
 
-from oracles import orbit_walk
+from oracles import dict_first_zero, orbit_walk
 
 
 class TestPeriodTypeMod:
@@ -291,6 +297,32 @@ class TestIsPrimitiveDivisor:
         primitive = nu > 0 and all(x % p != 0 for x in numerators[:-1])
         assert iterate_valuation(d, c, n, p) == (nu, True)
         assert is_primitive_divisor(d, c, n, p) == (primitive, nu)
+
+
+class TestFirstZero:
+    @given(d=st.integers(2, 5), p=st.sampled_from(primes_up_to(599)), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_visited_set_walk(self, d, p, data):
+        limit = data.draw(st.integers(1, 2 * p), label="limit")
+        for c in range(p):
+            assert _first_zero(d, c, p, limit) == dict_first_zero(d, c, p, limit), c
+
+    @pytest.mark.parametrize("d,p", [(2, 599), (3, 593), (4, 577), (5, 571)])
+    def test_stops_within_three_times_tail_plus_period(self, monkeypatch, d, p):
+        # a walk that neither met 0 nor closed its cycle by the limit raises
+        for c in range(p):
+            tail, period = orbit_walk(d, c, p)
+            monkeypatch.setattr(orbit, "_RANK_WALK_LIMIT", 3 * (tail + period))
+            assert _first_zero(d, c, p, 10**9) == dict_first_zero(d, c, p, p), c
+
+    def test_budget_exhausted_only_past_its_limit(self, monkeypatch):
+        # mod 10^30 + 57 the orbit of 0 at c = 3 is far longer than 50 steps
+        p = 10**30 + 57
+        monkeypatch.setattr(orbit, "_RANK_WALK_LIMIT", 50)
+        assert _first_zero(2, 3, p, 50) == 0
+        with pytest.raises(SearchExhaustedError) as info:
+            _first_zero(2, 3, p, 51)
+        assert info.value.bound == 50
 
 
 class TestOrbitWithDerivative:

@@ -17,9 +17,9 @@ from critorbit import (
     gleason_poly,
     primes_up_to,
 )
-from critorbit import pcf
+from critorbit import orbit, pcf
 
-from oracles import _orbit_and_derivative, orbit_walk
+from oracles import _orbit_and_derivative, orbit_walk, period_type_bases
 
 # (d, p) for d = 2, 3 with p < 200 and d = 4, 5 with p < 100
 DEGREE_PRIME_PAIRS = [
@@ -283,6 +283,30 @@ class TestCensusByClass:
         monkeypatch.setattr(pcf, walker, lambda *args: calls.append(args) or real(*args))
         enumerate_pcf(d, p)
         assert len(calls) == 1 + (p - 1) // gcd(d - 1, p - 1)
+
+    @pytest.mark.parametrize("d,p,n", [(2, 809, 12), (3, 811, 10), (4, 43, 8)])
+    def test_given_n_one_first_zero_walk_per_class(self, monkeypatch, d, p, n):
+        # outside the permutation case a scan given n builds no period type
+        calls = []
+        monkeypatch.setattr(pcf, "period_type_mod", None)
+        monkeypatch.setattr(pcf, "_first_zero",
+                            lambda *args: calls.append(args) or orbit._first_zero(*args))
+        check_condition_star(d, p, n)
+        assert len(calls) == 1 + (p - 1) // gcd(d - 1, p - 1)
+        assert all(args[3] == n for args in calls)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 6), p=st.sampled_from(primes_up_to(700)), data=st.data())
+    def test_given_n_matches_the_period_type_filter(self, d, p, data):
+        # n from the census (bases exist, n at most the orbit's tail + period)
+        # or anywhere in [1, p] (mostly beyond it, where the walk closes its
+        # cycle before step n)
+        periods = sorted({orbit_walk(d, c, p)[1] for c in range(p)})
+        n = data.draw(st.one_of(st.sampled_from(periods), st.integers(1, p)), label="n")
+        bases = period_type_bases(d, p, n)
+        assert find_base(d, n, p) == (bases[0] if bases else None)
+        failures = [c for c in bases if _orbit_and_derivative(d, c, p, n)[1] == 0]
+        assert check_condition_star(d, p, n) == (not failures, failures)
 
     def test_permutation_case_runs_no_second_derivative_walk(self, monkeypatch):
         monkeypatch.setattr(pcf, "_derivative_walk", None)

@@ -93,9 +93,9 @@ def dict_first_zero(d: int, c: int, p: int, limit: int) -> int:
 def floyd_first_zero(d: int, c: int, p: int, limit: int) -> int:
     """The first i <= limit with f^i(0) = 0 mod p, or 0, in constant memory.
 
-    The hare checks every point it steps on.  When Floyd's tortoise, at half
-    its index k, meets it, k is at least the tail and a multiple of the period,
-    so the hare has seen the whole orbit.
+    The hare checks every point it steps on.  When Floyd's tortoise at index
+    k meets the hare at 2k, k is at least the tail and a multiple of the
+    period, so the hare has passed tail + period and seen the whole orbit.
     """
     slow = fast = i = 0
     while True:

@@ -9,8 +9,11 @@ whose roots mod p are exactly the parameters with critically periodic orbit
 of exact period n.  Iterate and Gleason polynomials are memoized per (d, n);
 the cache is safe for concurrent reads.
 
-Discriminants are computed by a CRT-modular resultant with a Hadamard-bound
-termination; coefficient growth makes direct integer PRS uncompetitive.
+Resultants are computed by Euclid modulo products of four 61-bit primes,
+combined by CRT until the modulus passes twice a bound on the result:
+Hadamard's for a resultant, and for a discriminant also Mahler's bound
+D^D M(f)^(2D-2), with the Mahler measure M bounded by Graeffe root-squaring.
+Coefficient growth makes direct integer PRS uncompetitive.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .errors import InternalConsistencyError, SizeGuardError
 
 _DEGREE_GUARD = 1 << 14
 _GLEASON_FEASIBLE_DEGREE = 2048  # largest Gleason polynomial worth building
+_GRAEFFE_STEPS = 3  # root-squarings behind the Mahler measure bound
+_PRIMES_PER_MODULUS = 4  # 61-bit primes per modulus of the CRT resultant
 
 
 class IntPoly:
@@ -273,23 +278,73 @@ def _resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Res(f, g) over Z by CRT over word-size primes with Hadamard termination."""
+    """Res(f, g) over Z by CRT, up to Hadamard's bound."""
     if f.is_zero or g.is_zero:
         return 0
     if f.degree == 0:
         return f.coeffs[0] ** g.degree
     if g.degree == 0:
         return g.coeffs[0] ** f.degree
+    return _crt_resultant(f, g, _hadamard_bound(f, g))
+
+
+def _hadamard_bound(f: IntPoly, g: IntPoly) -> int:
+    """||f||^deg g ||g||^deg f with the norms rounded up: at least |Res(f, g)|."""
     norm_f = isqrt(sum(c * c for c in f.coeffs)) + 1
     norm_g = isqrt(sum(c * c for c in g.coeffs)) + 1
-    bound = 2 * norm_f**g.degree * norm_g**f.degree
+    return norm_f**g.degree * norm_g**f.degree
+
+
+def _mahler_bound(poly: IntPoly) -> int:
+    """An integer B >= D^D M(poly)^(2D-2) >= |disc poly| (Mahler, Michigan
+    Math. J. 11, 1964), for D = deg poly >= 1 and M the Mahler measure.
+
+    A Graeffe step f(x) f(-x) = E(x^2)^2 - x^2 O(x^2)^2, where f(x) =
+    E(x^2) + x O(x^2), squares the roots, so the k-th iterate f_k has
+    M(f_k) = M(f)^(2^k) <= ||f_k||_2 (Landau), and N = ||f_k||_2^2 >= M^e
+    for e = 2^(k+1).  B is the e-th root of D^(eD) N^(2D-2), rounded up, by
+    k + 1 nested isqrt (16th roots for k = 3)."""
+    coeffs = list(poly.coeffs)
+    for _ in range(_GRAEFFE_STEPS):
+        squared = _convolve(coeffs[::2], coeffs[::2])
+        squared += [0] * (len(coeffs) - len(squared))
+        for i, x in enumerate(_convolve(coeffs[1::2], coeffs[1::2]), 1):
+            squared[i] -= x
+        coeffs = squared
+    degree, exponent = poly.degree, 2 << _GRAEFFE_STEPS
+    bound = degree ** (exponent * degree) * sum(c * c for c in coeffs) ** (2 * degree - 2)
+    for _ in range(_GRAEFFE_STEPS + 1):
+        bound = isqrt(bound)
+    return bound + 1
+
+
+def _crt_resultant(f: IntPoly, g: IntPoly, bound: int) -> int:
+    """Res(f, g) for deg f >= 1, g nonzero and |Res(f, g)| <= bound.
+
+    Each modulus m is a product of four consecutive primes below 2^61 that
+    divide neither leading coefficient; the last takes only the primes the
+    bound needs.  Euclid mod m gives the Sylvester determinant mod m whenever
+    each divisor's leading coefficient is a unit mod m.  When one is not, its
+    inverse raises ValueError and m is skipped: only the finitely many primes
+    that change the degree sequence of the remainders can cause that, so the
+    loop ends."""
+    lead = f.leading() * g.leading()
     residues, modulus = [], 1
     q = (1 << 61) - 1
-    while modulus <= bound:
-        q = _next_probable_prime_below(q)
-        if f.leading() % q and g.leading() % q:
-            residues.append((_resultant_mod_p(f.reduce_mod(q), g.reduce_mod(q), q), q))
-            modulus *= q
+    while modulus <= 2 * bound:
+        m = 1
+        for _ in range(_PRIMES_PER_MODULUS):
+            q = _next_probable_prime_below(q)
+            while lead % q == 0:
+                q = _next_probable_prime_below(q)
+            m *= q
+            if modulus * m > 2 * bound:
+                break
+        try:
+            residues.append((_resultant_mod_p(f.reduce_mod(m), g.reduce_mod(m), m), m))
+        except ValueError:
+            continue
+        modulus *= m
     value = crt(residues)
     return value - modulus if value > modulus // 2 else value
 
@@ -302,13 +357,15 @@ def _next_probable_prime_below(q: int) -> int:
 
 
 def discriminant(poly: IntPoly) -> int:
-    """disc = (-1)^(D(D-1)/2) * Res(poly, poly') / lc(poly)."""
+    """disc = (-1)^(D(D-1)/2) * Res(poly, poly') / lc(poly), with the CRT
+    stopped at min(Hadamard's bound, |lc| times Mahler's) on |Res|."""
     if poly.is_zero or poly.degree < 1:
         raise ValueError("discriminant needs degree >= 1")
     d = poly.degree
-    res = resultant(poly, poly.derivative())
+    lead, deriv = poly.leading(), poly.derivative()
+    bound = min(_hadamard_bound(poly, deriv), abs(lead) * _mahler_bound(poly))
+    res = _crt_resultant(poly, deriv, bound)
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    lead = poly.leading()
     if res % lead != 0:
         raise InternalConsistencyError("resultant not divisible by leading coefficient")
     return sign * (res // lead)

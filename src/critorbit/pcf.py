@@ -14,9 +14,10 @@ is a fibre of c -> c^(d-1), since c'^(d-1) = c^(d-1) exactly when c'/c is a
 (d-1)-th root of unity, so c^(d-1) keys the classes already walked, and {0} is
 a fibre of its own.  A walk of a nonzero c answers for gcd(d - 1, p - 1)
 parameters, one for d = 2.  When gcd(d, p - 1) = 1, x^d + c permutes F_p and
-0 is purely periodic: the walk returns to 0 and carries F_n'(c) on the way, so
-the verdict costs nothing more.  Otherwise the verdict is an n-step derivative
-walk, taken where a check asks for it.
+0 is purely periodic: the census walk returns to 0 and carries F_n'(c) on the
+way, so the verdict costs nothing more.  A scan given n, in every case, stops
+each walk at the first zero or at step n, and the verdict is an n-step
+derivative walk at the bases found, taken where a check asks for it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def _scan(d: int, p: int, n: int | None = None,
           ) -> Iterator[tuple[int, PeriodType, bool | None]]:
     """(c, period type of 0, simple-root verdict or None) for the candidates c
     in F_p, all of F_p by default; given n, only the c where 0 has exact
-    period n.  The verdict comes with the walk in the permutation case only.
+    period n, each walk stopping at the orbit's first zero or at step n.  The
+    verdict comes with the walk in the permutation case of the census only.
     p is checked at once and the candidates are walked lazily, in their order."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -97,12 +99,12 @@ def _class_rows(d: int, p: int, candidates: Iterable[int], n: int | None
         if key in walked:
             ptype, simple = walked[key]
         else:
-            if permutes:
-                period, derivative = _return_walk(d, c, p)
-                ptype, simple = PeriodType(0, period), derivative != 0
-            elif n is not None:
+            if n is not None:
                 # exact period n: the orbit's first zero is at step n
                 ptype, simple = (exact if _first_zero(d, c, p, n) == n else None), None
+            elif permutes:
+                period, derivative = _return_walk(d, c, p)
+                ptype, simple = PeriodType(0, period), derivative != 0
             else:
                 # the public call per walked class keeps the span counts that
                 # perfbench's tracer test pins (14 under enumerate_pcf at

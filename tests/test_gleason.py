@@ -1,7 +1,10 @@
 import itertools
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critorbit import (
     InternalConsistencyError,
@@ -20,7 +23,15 @@ from critorbit import (
     resultant,
     roots_mod_p,
 )
-from critorbit.gleason import _divmod_p, _xshift_pow
+from critorbit import gleason
+from critorbit.gleason import (
+    _PRIMES_PER_MODULUS,
+    _divmod_p,
+    _mahler_bound,
+    _next_probable_prime_below,
+    _resultant_mod_p,
+    _xshift_pow,
+)
 
 from oracles import brute_roots, sylvester_discriminant, sylvester_resultant
 
@@ -356,6 +367,58 @@ def test_resultant_and_discriminants_match_sympy(degree):
         for p in (2, 3, 5, 7, 10007, 2**61 - 1):
             if poly.leading() % p:
                 assert discriminant_mod_p(poly, p) == expected % p, p
+
+
+@st.composite
+def _int_polys(draw):
+    """Degree 1 to 12, coefficients up to 10^9 in size (the leading one
+    nonzero, of either sign), and sometimes a squared factor, so disc = 0."""
+    degree = draw(st.integers(1, 12))
+    coeff = st.integers(-10**9, 10**9)
+
+    def poly(deg):
+        return IntPoly(draw(st.lists(coeff, min_size=deg, max_size=deg))
+                       + [draw(coeff.filter(bool))])
+
+    square = draw(st.integers(0, degree // 2))  # degree of the squared factor
+    factor = poly(square) if square else IntPoly([1])
+    return poly(degree - 2 * square) * factor * factor
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_int_polys(), g=_int_polys())
+def test_resultant_and_discriminant_match_the_oracles(f, g):
+    sympy = pytest.importorskip("sympy")
+    assert resultant(f, g) == sylvester_resultant(list(f.coeffs), list(g.coeffs))
+    expected = int(sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x")).discriminant())
+    assert discriminant(f) == expected
+    assert _mahler_bound(f) >= abs(expected)
+
+
+def test_resultant_skips_a_modulus_where_euclid_meets_a_non_unit():
+    # the first CRT modulus is a product of the first primes below 2^61 - 1;
+    # x^3 mod x^2 + u x + (u^2 - q) is q x + u^3 - u q, whose leading
+    # coefficient is a unit mod every prime but q
+    first = []
+    prime = (1 << 61) - 1
+    for _ in range(_PRIMES_PER_MODULUS):
+        prime = _next_probable_prime_below(prime)
+        first.append(prime)
+    modulus, q, u = prod(first), first[1], 3
+    f, g = [0, 0, 0, 1], [u * u - q, u, 1]
+    with pytest.raises(ValueError):
+        _resultant_mod_p([x % modulus for x in f], [x % modulus for x in g], modulus)
+    assert resultant(IntPoly(f), IntPoly(g)) == sylvester_resultant(f, g) == (u * u - q) ** 3
+
+
+def test_gleason_discriminant_stops_at_mahlers_bound(monkeypatch):
+    # disc G_{2,7} has 376 bits: Hadamard's bound asked for 79 primes, the
+    # Mahler bound for 10 four-prime moduli
+    expected, calls = gleason_discriminant(2, 7), []
+    monkeypatch.setattr(gleason, "_resultant_mod_p",
+                        lambda *args: calls.append(args) or _resultant_mod_p(*args))
+    assert gleason_discriminant.__wrapped__(2, 7) == expected  # past the cache
+    assert expected.bit_length() == 376 and len(calls) <= 12
 
 
 class TestSimpleRoots:

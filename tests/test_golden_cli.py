@@ -47,7 +47,12 @@ the square root of p), ``condition --d 3 --p 67 --n 10`` (the class {9, 58}),
 ``condition --d 4 --p 43 --n 8`` (the class {5, 8, 30}, outside the
 permutation case) and ``lift --d 2 --n 2 --p 5 --c0 2 --precision 3`` (a
 strictly preperiodic base, found tail 2, period 2) before exact period n came
-from the first zero of the critical orbit, so a refactor that
+from the first zero of the critical orbit, and ``disc --d 2 --n 7`` and ``disc
+--d 3 --n 5`` (discriminants of 376 and 506 bits), ``condition --d 3 --p 2399
+--n 5`` and ``condition --d 5 --p 173 --n 34`` (given n where x^d + c permutes
+F_p, the second with the failures 20, 43, 130 and 153) before the CRT
+discriminant stopped at Mahler's bound over four-prime moduli and a given-n
+scan in the permutation case stopped at the first zero, so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
@@ -396,6 +401,16 @@ CASES = [
      "1ed3a280d223e28c72e0e9c247e4c04dcf6bf5ad5310ff7d7512a4783de41a67"),
     ("lift-preperiodic-base", "lift --d 2 --n 2 --p 5 --c0 2 --precision 3", 2,
      "f22d91238276eadabb22dc116fdf3ad69b6efd326f6cde8f840dc068bc965bcc"),
+    # integer discriminants whose CRT stops at Mahler's bound, and exact
+    # period n tested by the first zero in the permutation case
+    ("disc-quadratic-7", "disc --d 2 --n 7", 0,
+     "41ce57ba4ab5a370cf913305cc886c993c2085be3d720c1938fe362afc4faf66"),
+    ("disc-cubic-5", "disc --d 3 --n 5", 0,
+     "58d5372d6b5379c371b5ad0e08926aba76d04f36874ef497de51d57db74c0a02"),
+    ("condition-star-cubic-permutation", "condition --d 3 --p 2399 --n 5", 0,
+     "733cbbfa2a141b40a550622604e271182973606a665ecaa84f8057b4f1e2794a"),
+    ("condition-star-quintic-permutation", "condition --d 5 --p 173 --n 34", 0,
+     "490e78702b2f940ddfb5575d2c52e0b78727dbba06505aade650b18881660e9c"),
 ]
 
 

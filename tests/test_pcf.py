@@ -284,9 +284,12 @@ class TestCensusByClass:
         enumerate_pcf(d, p)
         assert len(calls) == 1 + (p - 1) // gcd(d - 1, p - 1)
 
-    @pytest.mark.parametrize("d,p,n", [(2, 809, 12), (3, 811, 10), (4, 43, 8)])
+    @pytest.mark.parametrize("d,p,n", [
+        (2, 809, 12), (3, 811, 10), (4, 43, 8),
+        (3, 809, 10), (5, 173, 34),  # x^d + c permutes F_p
+    ])
     def test_given_n_one_first_zero_walk_per_class(self, monkeypatch, d, p, n):
-        # outside the permutation case a scan given n builds no period type
+        # in and out of the permutation case a scan given n builds no period type
         calls = []
         monkeypatch.setattr(pcf, "period_type_mod", None)
         monkeypatch.setattr(pcf, "_first_zero",
@@ -311,4 +314,11 @@ class TestCensusByClass:
     def test_permutation_case_runs_no_second_derivative_walk(self, monkeypatch):
         monkeypatch.setattr(pcf, "_derivative_walk", None)
         assert condition_star_star_failures(3, 809) == _oracle_failures(3, 809)
+
+    def test_given_n_runs_no_return_walk(self, monkeypatch):
+        # given n, the permutation case stops each walk at the first zero and
+        # walks the derivative at the bases alone
+        calls = []
+        monkeypatch.setattr(pcf, "_return_walk", lambda *args: calls.append(args))
         assert check_condition_star(5, 173, 34) == (False, [20, 43, 130, 153])
+        assert not calls

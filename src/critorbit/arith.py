@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -103,7 +104,7 @@ def primes_up_to(limit: int) -> list[int]:
     for i in range(2, isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(limit + 1) if flags[i]]
+    return list(compress(range(limit + 1), flags))
 
 
 def val_p(x: int, p: int) -> int:

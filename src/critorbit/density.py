@@ -12,17 +12,21 @@ The Gleason polynomial G is monic, so it has a root mod p exactly when p
 divides G(c) for some c in [0, p).  The scan answers every prime below
 ``_BATCH_LIMIT`` = 2^14 at once: the product of G(c) over c below the largest
 of them, reduced mod their product Q up a product tree, then reduced down a
-remainder tree to each prime.  Reducing mod Q is a schoolbook division, so
-that cost grows like the square of the largest prime, while the per-prime
-``has_root_mod_p`` (gcd with x^p - x) grows about linearly; larger primes
-take that test.  Where G(c) = 0 exactly (n = 1, c = 0) the product is 0 and
-every prime has a root, as it should.
+remainder tree to each prime.  For odd d, f^t(-c) = -f^t(c), so G is an even
+or an odd polynomial and its roots mod p come in pairs c, p - c: the values
+at c up to half the largest prime suffice.  Each level of the tree reduces
+mod Q by Barrett's method (two multiplications by a precomputed reciprocal);
+its cost still grows like the square of the largest prime, while the
+per-prime ``has_root_mod_p`` (gcd with x^p - x) grows about linearly, so
+larger primes take that test.  Where G(c) = 0 exactly (n = 1, c = 0) the
+product is 0 and every prime has a root, as it should.
 
 All formula paths are exact rationals; floats appear only in display code.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -95,14 +99,43 @@ def _dividing_primes(x: int, primes: list[int]) -> set[int]:
     return {p for p, r in zip(primes, rems) if r == 0}
 
 
+def _barrett(q: int) -> Callable[[int], int]:
+    """x -> x % q for 0 <= x < q^2 (Barrett, CRYPTO '86): with s = bits(q)
+    and mu = 4^s // q, the quotient estimate from the top bits of x times mu
+    falls short of x // q by at most 2, provided x < 4^s.  For a larger x it
+    can fall short by about x / 4^s, and the correction loop subtracts q that
+    many times."""
+    s = q.bit_length()
+    mu = (1 << 2 * s) // q
+
+    def reduce(x: int) -> int:
+        r = x - (((x >> (s - 1)) * mu) >> (s + 1)) * q
+        while r >= q:
+            r -= q
+        return r
+
+    return reduce
+
+
 def _rooted_primes(poly: IntPoly, primes: list[int]) -> set[int]:
     """The primes (ascending) at which the monic poly has a root: those
     dividing the product of poly(c) over c below the largest of them, reduced
-    mod their product Q at every level of a balanced product tree."""
+    mod their product Q at every level of a balanced product tree.
+
+    When poly is even or odd (every G_{d,n} with d odd), c and -c are roots
+    together, so c up to half the largest prime suffice; that range holds
+    c = 1 for p = 2.  Each leaf multiplies 8 values and reduces with %, so
+    every node is below Q and every pair product below Q^2 < 4^bits(Q), the
+    range of the Barrett reduction above the leaves."""
     q = prod(primes)
-    values = [poly.evaluate(c) for c in range(primes[-1])]
+    reduce = _barrett(q)
+    coeffs = poly.coeffs
+    symmetric = not any(coeffs[::2]) or not any(coeffs[1::2])
+    top = primes[-1] // 2 + 1 if symmetric else primes[-1]
+    values = [poly.evaluate(c) for c in range(top)]
+    values = [prod(values[i : i + 8]) % q for i in range(0, len(values), 8)]
     while len(values) > 1:
-        values = [prod(values[i : i + 2]) % q for i in range(0, len(values), 2)]
+        values = [reduce(prod(values[i : i + 2])) for i in range(0, len(values), 2)]
     return _dividing_primes(values[0], primes)
 
 

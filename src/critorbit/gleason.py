@@ -18,6 +18,7 @@ Coefficient growth makes direct integer PRS uncompetitive.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from math import isqrt
 
@@ -28,6 +29,15 @@ _DEGREE_GUARD = 1 << 14
 _GLEASON_FEASIBLE_DEGREE = 2048  # largest Gleason polynomial worth building
 _GRAEFFE_STEPS = 3  # root-squarings behind the Mahler measure bound
 _PRIMES_PER_MODULUS = 4  # 61-bit primes per modulus of the CRT resultant
+# the first 64 k with 2^61 - k prime, from the largest prime below 2^61 - 1
+# down: the CRT's moduli, found once instead of by a walk in every call
+_CRT_PRIME_OFFSETS = (
+    31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819,
+    829, 843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371,
+    1425, 1489, 1525, 1533, 1543, 1609, 1621, 1669, 1741, 1753, 1813, 1845,
+    1849, 1855, 1863, 1869, 1909, 1921, 1923, 1945, 1959, 2023, 2083, 2115,
+    2133, 2185, 2371, 2373, 2383, 2385, 2401, 2539, 2551, 2595, 2605, 2665,
+)
 
 
 class IntPoly:
@@ -321,23 +331,20 @@ def _mahler_bound(poly: IntPoly) -> int:
 def _crt_resultant(f: IntPoly, g: IntPoly, bound: int) -> int:
     """Res(f, g) for deg f >= 1, g nonzero and |Res(f, g)| <= bound.
 
-    Each modulus m is a product of four consecutive primes below 2^61 that
-    divide neither leading coefficient; the last takes only the primes the
-    bound needs.  Euclid mod m gives the Sylvester determinant mod m whenever
-    each divisor's leading coefficient is a unit mod m.  When one is not, its
-    inverse raises ValueError and m is skipped: only the finitely many primes
-    that change the degree sequence of the remainders can cause that, so the
-    loop ends."""
+    Each modulus m is a product of four consecutive primes from
+    ``_crt_primes`` that divide neither leading coefficient; the last takes
+    only the primes the bound needs.  Euclid mod m gives the Sylvester
+    determinant mod m whenever each divisor's leading coefficient is a unit
+    mod m.  When one is not, its inverse raises ValueError and m is skipped:
+    only the finitely many primes that change the degree sequence of the
+    remainders can cause that, so the loop ends."""
     lead = f.leading() * g.leading()
     residues, modulus = [], 1
-    q = (1 << 61) - 1
+    primes = (q for q in _crt_primes() if lead % q)
     while modulus <= 2 * bound:
         m = 1
         for _ in range(_PRIMES_PER_MODULUS):
-            q = _next_probable_prime_below(q)
-            while lead % q == 0:
-                q = _next_probable_prime_below(q)
-            m *= q
+            m *= next(primes)
             if modulus * m > 2 * bound:
                 break
         try:
@@ -347,6 +354,18 @@ def _crt_resultant(f: IntPoly, g: IntPoly, bound: int) -> int:
         modulus *= m
     value = crt(residues)
     return value - modulus if value > modulus // 2 else value
+
+
+def _crt_primes() -> Iterator[int]:
+    """The primes below 2^61 - 1, descending: the table, then a walk on from
+    its last entry."""
+    q = 1 << 61
+    for k in _CRT_PRIME_OFFSETS:
+        yield q - k
+    q -= _CRT_PRIME_OFFSETS[-1]
+    while True:
+        q = _next_probable_prime_below(q)
+        yield q
 
 
 def _next_probable_prime_below(q: int) -> int:

@@ -174,6 +174,10 @@ class TestPrimality:
         assert primes_up_to(12) == [2, 3, 5, 7, 11]
         assert primes_up_to(1) == []
 
+    @pytest.mark.parametrize("limit", [2, 3, 4, 25, 49, 997, 2**14])
+    def test_sieve_matches_the_primality_test(self, limit):
+        assert primes_up_to(limit) == [k for k in range(limit + 1) if is_prime(k)]
+
     def test_sieve_guard(self):
         with pytest.raises(ValueError):
             primes_up_to(10**7 + 1)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from unittest import mock
 
 import pytest
@@ -17,7 +17,9 @@ from critorbit import (
 )
 from critorbit import density
 from critorbit.density import CONDITIONAL_NOTE, density_scan_rows
-from critorbit.gleason import gleason_discriminant, gleason_poly, has_root_mod_p
+from critorbit.gleason import IntPoly, gleason_discriminant, gleason_poly, has_root_mod_p
+
+_BATCH_PRIMES = primes_up_to(density._BATCH_LIMIT)
 
 # (d, n) whose Gleason polynomial has degree <= 120; (4, 5) and (5, 5), of
 # degrees 255 and 624, take a second or more for the discriminant alone
@@ -132,6 +134,9 @@ class TestBatchedRootTest:
     @example(case=(3, 5), limit=400)  # degree 80
     @example(case=(2, 3), limit=47)  # the batch alone, up to a prime limit
     @example(case=(2, 3), limit=53)  # 47 batched, 53 per prime
+    @example(case=(3, 2), limit=2)  # odd d at p = 2 alone: c = 1 = -1
+    @example(case=(3, 2), limit=3)
+    @example(case=(5, 1), limit=2)  # G = c, an odd polynomial
     @settings(max_examples=30, deadline=None)
     def test_scan_matches_the_per_prime_root_test(self, case, limit):
         d, n = case
@@ -163,6 +168,40 @@ class TestBatchedRootTest:
     @settings(max_examples=200, deadline=None)
     def test_remainder_tree_matches_trial_division(self, x, primes):
         assert density._dividing_primes(x, primes) == {p for p in primes if x % p == 0}
+
+    @given(k=st.integers(1, len(_BATCH_PRIMES)), data=st.data())
+    @example(k=1, data=None)  # Q = 2
+    @example(k=len(_BATCH_PRIMES), data=None)  # the primorial of 2^14
+    @settings(max_examples=40, deadline=None)
+    def test_barrett_reduction_matches_remainder(self, k, data):
+        q = prod(_BATCH_PRIMES[:k])
+        reduce = density._barrett(q)
+        xs = [0, 1, q - 1, q, q * q - 1]
+        if data is not None:
+            xs += data.draw(st.lists(st.integers(0, q * q - 1), min_size=1, max_size=5))
+        assert [reduce(x) for x in xs] == [x % q for x in xs]
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_odd_degree_gleason_polynomials_are_even_or_odd(self, d, n):
+        coeffs = gleason_poly(d, n).coeffs
+        sign = -1 if n == 1 else 1  # G(-c) = sign * G(c)
+        assert [(-1) ** i * a for i, a in enumerate(coeffs)] == [sign * a for a in coeffs]
+
+    @pytest.mark.parametrize("d,n,limit", [(3, 3, 400), (5, 2, 401), (3, 2, 2),
+                                           (2, 3, 400), (4, 2, 401)])
+    def test_batch_evaluates_half_the_residues_for_odd_degree(self, d, n, limit):
+        primes = primes_up_to(limit)
+        poly, calls = gleason_poly(d, n), []
+        evaluate = IntPoly.evaluate
+        with mock.patch.object(IntPoly, "evaluate",
+                               lambda self, x: calls.append(x) or evaluate(self, x)):
+            rooted = density._rooted_primes(poly, primes)
+        assert rooted == {p for p in primes if has_root_mod_p(poly, p)}
+        if d % 2:
+            assert len(calls) <= primes[-1] // 2 + 1
+        else:
+            assert len(calls) == primes[-1]
 
 
 class TestDensityReport:

@@ -25,7 +25,9 @@ from critorbit import (
 )
 from critorbit import gleason
 from critorbit.gleason import (
+    _CRT_PRIME_OFFSETS,
     _PRIMES_PER_MODULUS,
+    _crt_primes,
     _divmod_p,
     _mahler_bound,
     _next_probable_prime_below,
@@ -409,6 +411,24 @@ def test_resultant_skips_a_modulus_where_euclid_meets_a_non_unit():
     with pytest.raises(ValueError):
         _resultant_mod_p([x % modulus for x in f], [x % modulus for x in g], modulus)
     assert resultant(IntPoly(f), IntPoly(g)) == sylvester_resultant(f, g) == (u * u - q) ** 3
+
+
+def test_crt_prime_table_matches_the_walk():
+    # the table, then the walk on from its last entry, gives the primes below
+    # 2^61 - 1 in the order the walk from 2^61 - 1 finds them
+    walk, prime = [], (1 << 61) - 1
+    for _ in range(len(_CRT_PRIME_OFFSETS) + 6):
+        prime = _next_probable_prime_below(prime)
+        walk.append(prime)
+    assert list(itertools.islice(_crt_primes(), len(walk))) == walk
+    assert [(1 << 61) - q for q in walk[: len(_CRT_PRIME_OFFSETS)]] == list(_CRT_PRIME_OFFSETS)
+
+
+def test_resultant_skips_primes_dividing_a_leading_coefficient():
+    # leading coefficients that are the first and third CRT primes
+    first, _, third = itertools.islice(_crt_primes(), 3)
+    f, g = [1, first], [5, 0, third * 7]
+    assert resultant(IntPoly(f), IntPoly(g)) == sylvester_resultant(f, g)
 
 
 def test_gleason_discriminant_stops_at_mahlers_bound(monkeypatch):

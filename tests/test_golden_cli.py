@@ -52,7 +52,12 @@ from the first zero of the critical orbit, and ``disc --d 2 --n 7`` and ``disc
 --n 5`` and ``condition --d 5 --p 173 --n 34`` (given n where x^d + c permutes
 F_p, the second with the failures 20, 43, 130 and 153) before the CRT
 discriminant stopped at Mahler's bound over four-prime moduli and a given-n
-scan in the permutation case stopped at the first zero, so a refactor that
+scan in the permutation case stopped at the first zero, and ``density --d 3
+--n 3 --limit 15000``, ``density --d 3 --n 2 --limit 2`` (p = 2 alone, where
+c = 1 is its own negative), ``density --d 5 --n 2 --limit 1000`` and
+``density --d 3 --n 3 --limit 3000 --threads 2`` before the batch evaluated
+G at only half the residues for odd d and reduced mod the primes' product by
+Barrett's method, so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
@@ -411,6 +416,16 @@ CASES = [
      "733cbbfa2a141b40a550622604e271182973606a665ecaa84f8057b4f1e2794a"),
     ("condition-star-quintic-permutation", "condition --d 5 --p 173 --n 34", 0,
      "490e78702b2f940ddfb5575d2c52e0b78727dbba06505aade650b18881660e9c"),
+    # batched density scans at odd d, where G(-c) = +-G(c): a batch near 2^14,
+    # p = 2 alone (c = 1 is its own negative), d = 5 and two pooled chunks
+    ("density-cubic-batch", "density --d 3 --n 3 --limit 15000", 0,
+     "9855c72b5658a70752e8813f4fa7591b9bd49720a5a37d7cee9da73fa51c0110"),
+    ("density-cubic-p2-only", "density --d 3 --n 2 --limit 2", 0,
+     "ec6c07e469071cd2ea97fc763a051cfa81bdff027936ced494704bef9be6eb98"),
+    ("density-quintic", "density --d 5 --n 2 --limit 1000", 0,
+     "e81f7c783d6e981253f54d9350c6fee456e704f3252e24d4a0d6fab666db8cc0"),
+    ("density-cubic-pooled", "density --d 3 --n 3 --limit 3000 --threads 2", 0,
+     "f52a6f65f7e5c45632e592129b6d83d099b7a4d8324f1cb084282aea47306794"),
 ]
 
 

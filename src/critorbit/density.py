@@ -18,14 +18,15 @@ at c up to half the largest prime suffice.  Each level of the tree reduces
 mod Q by Barrett's method (two multiplications by a precomputed reciprocal);
 its cost still grows like the square of the largest prime, while the
 per-prime ``has_root_mod_p`` (gcd with x^p - x) grows about linearly, so
-larger primes take that test.  Where G(c) = 0 exactly (n = 1, c = 0) the
-product is 0 and every prime has a root, as it should.
+larger primes take that test, and only they go to worker processes.  Where
+G(c) = 0 exactly (n = 1, c = 0) the product is 0 and every prime has a root.
 
 All formula paths are exact rationals; floats appear only in display code.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,24 +140,31 @@ def _rooted_primes(poly: IntPoly, primes: list[int]) -> set[int]:
     return _dividing_primes(values[0], primes)
 
 
-def _scan(d: int, n: int, primes: list[int]) -> list[tuple[int, bool | None]]:
+def _scan(d: int, n: int, primes: list[int], jobs: int = 1) -> list[tuple[int, bool | None]]:
     """(p, has_root) per prime; None where p divides d or the discriminant.
 
     G_{d,n} is monic of degree >= 1, so ``_rooted_primes`` answers the primes
     below ``_BATCH_LIMIT`` exactly, from one product of G(c); its cost grows
     like the square of the largest prime, so each larger prime runs
-    ``has_root_mod_p``.  A chunk of a pooled scan applies the same rule.
+    ``has_root_mod_p``: in min(jobs, usable CPUs) workers, given 4 per worker.
     """
     poly = gleason_poly(d, n)
     disc = gleason_discriminant(d, n)
+    bad = {p for p in primes if d % p == 0 or disc % p == 0}
     small = [p for p in primes if p < _BATCH_LIMIT]
     rooted = _rooted_primes(poly, small) if small else set()
-    return [
-        (p, None if d % p == 0 or disc % p == 0
-         else p in rooted if p < _BATCH_LIMIT
-         else has_root_mod_p(poly, p))
-        for p in primes
-    ]
+    large = [p for p in primes if p >= _BATCH_LIMIT and p not in bad]
+    workers = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+    test = partial(has_root_mod_p, poly)
+    hits = map(test, large)
+    if workers > 1 and len(large) >= 4 * workers:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            hits = list(pool.map(test, large, chunksize=len(large) // (4 * workers)))
+    rooted.update(p for p, hit in zip(large, hits) if hit)
+    return [(p, None if p in bad else p in rooted) for p in primes]
 
 
 def _primes(limit: int) -> list[int]:
@@ -170,21 +178,12 @@ def empirical_density(d: int, n: int, limit: int, jobs: int = 1) -> EmpiricalDen
     an F_p root.  Primes dividing d or the discriminant are excluded from both
     numerator and denominator and reported separately.
 
-    ``jobs`` > 1 splits the prime range into contiguous chunks scanned in
-    worker processes; the ordered merge keeps the result deterministic.
+    ``jobs`` > 1 runs the root tests of the primes from ``_BATCH_LIMIT`` up in
+    worker processes; the result does not depend on it.
     """
     if jobs < 1:
         raise ValueError("need jobs >= 1 worker processes")
-    primes = _primes(limit)
-    if jobs <= 1 or len(primes) < 4 * jobs:
-        rows = _scan(d, n, primes)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        size = -(-len(primes) // jobs)
-        chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for part in pool.map(partial(_scan, d, n), chunks) for row in part]
+    rows = _scan(d, n, _primes(limit), jobs)
     skipped = tuple(p for p, hit in rows if hit is None)
     hits = sum(1 for _, hit in rows if hit)
     total = len(rows) - len(skipped)

@@ -1,4 +1,7 @@
+import concurrent.futures
+import os
 from fractions import Fraction
+from functools import partial
 from math import factorial, prod
 from unittest import mock
 
@@ -150,7 +153,7 @@ class TestBatchedRootTest:
         half = len(primes) // 2
         with mock.patch.object(density, "_BATCH_LIMIT", 50):
             assert density._scan(d, n, primes) == expected
-            # the two chunks of a pooled scan, each with its own batch
+            # any split of the primes, each part with its own batch
             chunks = density._scan(d, n, primes[:half]) + density._scan(d, n, primes[half:])
             assert chunks == expected
             skipped = tuple(p for p, hit in expected if hit is None)
@@ -202,6 +205,93 @@ class TestBatchedRootTest:
             assert len(calls) <= primes[-1] // 2 + 1
         else:
             assert len(calls) == primes[-1]
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: maps in this process and records
+    its worker count and the primes it was handed in ``built``."""
+
+    def __init__(self, built, max_workers):
+        self.max_workers, self.mapped = max_workers, []
+        built.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        assert chunksize >= 1
+        self.mapped += items
+        return map(fn, items)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A fake executor on a host with ``cpus`` usable CPUs (default 8)."""
+    built = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(_FakePool, built))
+
+    def on_cpus(cpus=8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        return built
+
+    return on_cpus
+
+
+class TestPooledTail:
+    """Only primes from ``_BATCH_LIMIT`` up that divide neither d nor disc(G)
+    reach the pool; G, disc(G) and the batch are built once, in this process."""
+
+    @pytest.mark.parametrize("d,n,limit,batch_limit", [
+        (3, 3, 400, 200),  # 229 divides disc(G_{3,3})
+        (2, 4, 3000, 2000),  # 2551 divides disc(G_{2,4})
+        (2, 3, 17000, density._BATCH_LIMIT),
+    ])
+    def test_pool_receives_only_the_tail(self, fake_pool, d, n, limit, batch_limit):
+        built = fake_pool()
+        disc = gleason_discriminant(d, n)
+        primes = primes_up_to(limit)
+        tail = [p for p in primes if p >= batch_limit and d % p and disc % p]
+        with mock.patch.object(density, "_BATCH_LIMIT", batch_limit):
+            serial = density._scan(d, n, primes)
+            assert built == []
+            with (
+                mock.patch.object(density, "gleason_poly", wraps=gleason_poly) as build_g,
+                mock.patch.object(density, "gleason_discriminant",
+                                  wraps=gleason_discriminant) as build_disc,
+                mock.patch.object(density, "_rooted_primes",
+                                  wraps=density._rooted_primes) as batch,
+            ):
+                assert density._scan(d, n, primes, 2) == serial
+        assert (build_g.call_count, build_disc.call_count, batch.call_count) == (1, 1, 1)
+        assert [(pool.max_workers, pool.mapped) for pool in built] == [(2, tail)]
+
+    @pytest.mark.parametrize("d,n,limit,cpus", [
+        (2, 3, 16000, 8),  # no prime from 2^14 up
+        (2, 4, 16440, 8),  # a 5-prime tail, below 4 x 2 workers
+        (2, 3, 17000, 1),  # one usable CPU
+    ])
+    def test_no_pool_for_a_short_tail_or_one_cpu(self, fake_pool, d, n, limit, cpus):
+        built = fake_pool(cpus)
+        primes = primes_up_to(limit)
+        assert density._scan(d, n, primes, 2) == density._scan(d, n, primes)
+        assert built == []
+
+    def test_workers_are_capped_at_the_usable_cpus(self, fake_pool, monkeypatch):
+        built = fake_pool(8)
+        empirical_density(2, 3, 20000, jobs=2000)  # 362 tail primes, at least 4 x 8
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        empirical_density(2, 3, 20000, jobs=2000)
+        assert [pool.max_workers for pool in built] == [8, 3]
+
+    @pytest.mark.parametrize("d,n,limit", [(2, 3, 17000), (3, 3, 20000)])
+    def test_two_real_workers_match_the_serial_scan(self, d, n, limit):
+        primes = primes_up_to(limit)
+        assert density._scan(d, n, primes, 2) == density._scan(d, n, primes)
 
 
 class TestDensityReport:

@@ -57,12 +57,17 @@ scan in the permutation case stopped at the first zero, and ``density --d 3
 c = 1 is its own negative), ``density --d 5 --n 2 --limit 1000`` and
 ``density --d 3 --n 3 --limit 3000 --threads 2`` before the batch evaluated
 G at only half the residues for odd d and reduced mod the primes' product by
-Barrett's method, so a refactor that
+Barrett's method, and ``density --d 2 --n 6 --limit 1770 --threads 2`` (no
+prime from 2^14 up), ``density --d 3 --n 3 --limit 20000 --threads 2`` (odd d,
+with a pooled tail) and ``density --d 2 --n 4 --limit 16440 --threads 2`` (a
+5-prime tail, below 4 x workers, so it runs serially) before one scan built G,
+disc(G) and the batch in the calling process and sent only the primes from
+2^14 up to worker processes, so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
-rational parameters, root splitting at primes from 2 to above 10^6 and a
-density scan merged from two worker processes.
+rational parameters, root splitting at primes from 2 to above 10^6 and
+density scans whose primes from 2^14 up run in two worker processes.
 
 Exit code 3 (``exhausted``) is not covered here.  Two CLI paths raise
 ``SearchExhaustedError``: the automatic prime search of ``construct``, which
@@ -417,7 +422,7 @@ CASES = [
     ("condition-star-quintic-permutation", "condition --d 5 --p 173 --n 34", 0,
      "490e78702b2f940ddfb5575d2c52e0b78727dbba06505aade650b18881660e9c"),
     # batched density scans at odd d, where G(-c) = +-G(c): a batch near 2^14,
-    # p = 2 alone (c = 1 is its own negative), d = 5 and two pooled chunks
+    # p = 2 alone (c = 1 is its own negative), d = 5 and a --threads 2 scan
     ("density-cubic-batch", "density --d 3 --n 3 --limit 15000", 0,
      "9855c72b5658a70752e8813f4fa7591b9bd49720a5a37d7cee9da73fa51c0110"),
     ("density-cubic-p2-only", "density --d 3 --n 2 --limit 2", 0,
@@ -426,6 +431,14 @@ CASES = [
      "e81f7c783d6e981253f54d9350c6fee456e704f3252e24d4a0d6fab666db8cc0"),
     ("density-cubic-pooled", "density --d 3 --n 3 --limit 3000 --threads 2", 0,
      "f52a6f65f7e5c45632e592129b6d83d099b7a4d8324f1cb084282aea47306794"),
+    # --threads 2 scans with no primes from 2^14 up, with a pooled tail of
+    # such primes at odd d, and with a 5-prime tail, below 4 x workers
+    ("density-pooled-batch-only", "density --d 2 --n 6 --limit 1770 --threads 2", 0,
+     "2ab4b022e162c15f6dbb648753ddd31112bfaa6ed5e89460ec4b017a159a13d4"),
+    ("density-cubic-pooled-tail", "density --d 3 --n 3 --limit 20000 --threads 2", 0,
+     "da771acc1b75db1285bbbe37f11e8fc1690f6f03d603f4ac9fe390d5f3827f2d"),
+    ("density-pooled-short-tail", "density --d 2 --n 4 --limit 16440 --threads 2", 0,
+     "7845249bba607e82cd974144c0ce47ee91cab02cad9a213e7303ea506af411e0"),
 ]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from math import gcd, isqrt
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -84,13 +84,8 @@ def is_prime(n: int) -> bool:
 
 
 def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
-    k = max(n + 1, 2)
-    if k > 2 and k % 2 == 0:
-        k += 1
-    while not is_prime(k):
-        k += 1 if k == 2 else 2
-    return k
+    """Smallest prime strictly greater than n: 2, or the first odd prime."""
+    return 2 if n < 2 else next(filter(is_prime, count((n + 1) | 1, 2)))
 
 
 def primes_up_to(limit: int) -> list[int]:

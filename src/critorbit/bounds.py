@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, count, islice
 from math import gcd, isqrt
 
-from .arith import _trial_divide, factorize, next_prime
+from .arith import _trial_divide, factorize, is_prime
 from .errors import SizeGuardError, ZeroIterateError
 from .orbit import (
     RationalParam,
@@ -280,25 +281,20 @@ def _prime_factors(x: int) -> Iterator[int]:
 def _search_witness(
     d: int, c: int, n: int, scan_budget: int
 ) -> CertificateEntry | None:
-    # factor-based candidates first, when the exact iterate is desk-scale
+    # the primes of a_n first, when the exact iterate is desk-scale, then the
+    # first scan_budget primes; a witness divides a_n, so once a_n is known
+    # the scan walks only its divisors
     try:
         a_n, _ = exact_iterate(d, c, n, digit_guard=_FACTOR_DIGIT_GUARD)
     except SizeGuardError:
         a_n = None
-    if a_n is not None and abs(a_n) > 1:
-        for p in _prime_factors(abs(a_n)):
-            if d % p == 0:
-                continue
+    factors = _prime_factors(abs(a_n)) if a_n is not None and abs(a_n) > 1 else ()
+    scan = islice(chain((2,), filter(is_prime, count(3, 2))), scan_budget)
+    for p in chain(factors, scan):
+        if d % p and (a_n is None or a_n % p == 0):
             entry = _entry_for(d, c, n, p)
             if entry.valid:
                 return entry
-    p = 2
-    for _ in range(scan_budget):
-        if d % p != 0:
-            entry = _entry_for(d, c, n, p)
-            if entry.valid:
-                return entry
-        p = next_prime(p)
     return None
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arith import crt, is_prime, next_prime
+from .arith import crt, is_prime
 from .errors import (
     DiscObstructionError,
     InternalConsistencyError,
@@ -179,9 +179,13 @@ def _gleason_roots(d: int, n: int, p: int) -> Iterator[int]:
 
 def _admissible_base(d: int, n: int, p: int) -> int:
     """The simple-root base of exact period n at p, where p does not divide
-    disc(G_{d,n}) (screened up to degree 128); raises the error saying why not."""
-    if (gleason_degree(d, n) <= _DISC_SCREEN_DEGREE
-            and discriminant_mod_p(gleason_poly(d, n), p) == 0):
+    disc(G_{d,n}) (screened up to degree 128); raises the error saying why not.
+
+    A screened G is squarefree mod p, and at a base of exact period n,
+    (f^n(0))' is G' times a unit, so only an unscreened base needs the
+    simple-root walk."""
+    screened = gleason_degree(d, n) <= _DISC_SCREEN_DEGREE
+    if screened and discriminant_mod_p(gleason_poly(d, n), p) == 0:
         raise DiscObstructionError(
             f"pinned prime {p} divides disc of the period-{n} Gleason "
             "polynomial; the exact-power adjustment is not licensed there"
@@ -192,7 +196,7 @@ def _admissible_base(d: int, n: int, p: int) -> int:
             f"prime {p} is not admissible for iterate {n}: no parameter "
             f"in F_{p} has critical orbit of exact period {n}"
         )
-    if not _is_simple_root(d, n, p, c0):
+    if not screened and not _is_simple_root(d, n, p, c0):
         raise DiscObstructionError(
             f"base parameter {c0} mod {p} is not a simple root of the "
             f"period-{n} orbit value; exact-power adjustment unavailable"
@@ -209,14 +213,13 @@ def find_prime_for_iterate(
     Admissible: not excluded, not dividing d, not dividing the Gleason
     discriminant, and possessing a base with exact period n.
     """
-    p = next_prime(n - 1)  # the first prime >= n: periods mod p are <= p
-    while p <= ceiling:
+    # the primes from n up: periods mod p are <= p
+    for p in filter(is_prime, range(n, ceiling + 1)):
         if p not in excluded and d % p != 0:
             try:
                 return p, _admissible_base(d, n, p)
             except (DiscObstructionError, PrimeNotAdmissibleError):
                 pass
-        p = next_prime(p)
     raise SearchExhaustedError(
         f"no admissible prime for iterate {n} within bound {ceiling}", ceiling
     )

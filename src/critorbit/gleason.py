@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import count
 from math import isqrt
 
 from .arith import _rng, crt, is_prime, moebius
@@ -357,22 +358,11 @@ def _crt_resultant(f: IntPoly, g: IntPoly, bound: int) -> int:
 
 
 def _crt_primes() -> Iterator[int]:
-    """The primes below 2^61 - 1, descending: the table, then a walk on from
-    its last entry."""
-    q = 1 << 61
-    for k in _CRT_PRIME_OFFSETS:
-        yield q - k
-    q -= _CRT_PRIME_OFFSETS[-1]
-    while True:
-        q = _next_probable_prime_below(q)
-        yield q
-
-
-def _next_probable_prime_below(q: int) -> int:
-    q -= 1
-    while not is_prime(q):
-        q -= 1
-    return q
+    """The primes below 2^61 - 1, descending: the table, then every odd
+    number below its last entry that ``is_prime`` accepts."""
+    top = 1 << 61
+    yield from (top - k for k in _CRT_PRIME_OFFSETS)
+    yield from filter(is_prime, count(top - _CRT_PRIME_OFFSETS[-1] - 2, -2))
 
 
 def discriminant(poly: IntPoly) -> int:

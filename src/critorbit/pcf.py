@@ -234,16 +234,10 @@ def correspondence_report(d: int, p: int, precision: int) -> CorrespondenceRepor
     best-effort and the report says so.  The Gleason discriminant adds
     nothing: at a base of exact period n, (f^n(0))' = G_{d,n}' times a unit,
     so a simple-root failure is a double root of G_{d,n} and p | disc(G_{d,n}).
+    The simple-root verdict is read off the lifts: a simple root has
+    nu(F') = 0 and always lifts.
     """
     census = enumerate_pcf(d, p)
-    star_star = next(_star_star_failures(census, None), None) is None
-    guaranteed = p > d and star_star
-    if p <= d:
-        hypothesis = f"residue characteristic {p} is not larger than the degree {d}"
-    elif star_star:
-        hypothesis = "simple-root condition holds at every observed period"
-    else:
-        hypothesis = "correspondence not guaranteed"
     entries = []
     for c, ptype in sorted(census.periodic.items()):
         try:
@@ -251,6 +245,14 @@ def correspondence_report(d: int, p: int, precision: int) -> CorrespondenceRepor
             entries.append(CorrespondenceEntry(c, ptype.period, lift))
         except HenselHypothesisError as exc:
             entries.append(CorrespondenceEntry(c, ptype.period, None, error=str(exc)))
+    star_star = all(e.lift is not None and e.lift.nu_derivative == 0 for e in entries)
+    guaranteed = p > d and star_star
+    if p <= d:
+        hypothesis = f"residue characteristic {p} is not larger than the degree {d}"
+    elif star_star:
+        hypothesis = "simple-root condition holds at every observed period"
+    else:
+        hypothesis = "correspondence not guaranteed"
     return CorrespondenceReport(
         d=d,
         p=p,

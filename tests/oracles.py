@@ -5,12 +5,19 @@ Sylvester determinants instead of CRT resultants, direct residue scans instead
 of gcd machinery, plain dict-based orbit walks, a Newton lift that takes
 every step at full width, trial division that steps along the mod-30
 wheel one candidate at a time, and first zeros of the critical orbit by a
-visited set or by Floyd's tortoise and hare.
+visited set or by Floyd's tortoise and hare.  Two keep the package's earlier
+hand-written prime loops: a next-prime walk over odd candidates, and the
+witness search that ran the primes of a_n and then a scan of every prime, as
+two loops.
 """
 
 from fractions import Fraction
 
 from critorbit import LiftResult, Residue
+from critorbit.arith import is_prime
+from critorbit.bounds import _FACTOR_DIGIT_GUARD, _entry_for, _prime_factors
+from critorbit.errors import SizeGuardError
+from critorbit.orbit import exact_iterate
 
 
 def sylvester_resultant(f: list[int], g: list[int]) -> int:
@@ -214,3 +221,38 @@ def wheel_trial_divide(x: int, trial_limit: int) -> tuple[dict[int, int], int]:
         d += wheel[wi]
         wi = (wi + 1) % len(wheel)
     return counts, rest
+
+
+def odd_step_next_prime(n: int) -> int:
+    """Smallest prime above n, stepping over the odd candidates from n + 1."""
+    k = max(n + 1, 2)
+    if k > 2 and k % 2 == 0:
+        k += 1
+    while not is_prime(k):
+        k += 1 if k == 2 else 2
+    return k
+
+
+def two_loop_search_witness(d: int, c: int, n: int, scan_budget: int):
+    """The first valid certificate entry among the primes of a_n (when it is
+    within the digit guard), then among the first scan_budget primes, each
+    walked whether or not it divides a_n."""
+    try:
+        a_n, _ = exact_iterate(d, c, n, digit_guard=_FACTOR_DIGIT_GUARD)
+    except SizeGuardError:
+        a_n = None
+    if a_n is not None and abs(a_n) > 1:
+        for p in _prime_factors(abs(a_n)):
+            if d % p == 0:
+                continue
+            entry = _entry_for(d, c, n, p)
+            if entry.valid:
+                return entry
+    p = 2
+    for _ in range(scan_budget):
+        if d % p != 0:
+            entry = _entry_for(d, c, n, p)
+            if entry.valid:
+                return entry
+        p = odd_step_next_prime(p)
+    return None

@@ -187,6 +187,29 @@ class TestPrimality:
         assert next_prime(13) == 17
         assert next_prime(1) == 2
 
+    def test_next_prime_matches_the_odd_step_loop(self):
+        ns = range(-3, 10**4 + 1)
+        assert [next_prime(n) for n in ns] == [oracles.odd_step_next_prime(n) for n in ns]
+
+    def test_next_prime_above_psi_13_draws_the_same_witnesses(self):
+        # above psi_13 each odd candidate that passes trial division draws
+        # random Miller-Rabin bases; an even one returns at the first trial
+        # division, so both walks leave the generator in the same state
+        start = arith._MR_PSI[-1][0]
+        saved = arith._rng.getstate()
+        try:
+            arith.set_random_seed(13)
+            seeded = arith._rng.getstate()
+            walks = []
+            for step in (next_prime, oracles.odd_step_next_prime):
+                arith._rng.setstate(seeded)
+                found = [step(start + k * 10**6) for k in range(30)]
+                walks.append((found, arith._rng.getstate()))
+        finally:
+            arith._rng.setstate(saved)
+        assert walks[0] == walks[1]
+        assert walks[0][1] != seeded  # bases were drawn
+
 
 def test_factorize_matches_sympy():
     sympy = pytest.importorskip("sympy")

@@ -21,6 +21,8 @@ from critorbit import (
 from critorbit import arith, bounds
 from critorbit.arith import Factorization
 from critorbit.bounds import euler_phi
+from critorbit.orbit import classify_integer_param
+from oracles import two_loop_search_witness
 from test_acceptance import C29, PRIMES_29
 
 
@@ -336,6 +338,44 @@ def test_witness_search_skips_rho_when_a_trial_prime_is_a_witness(monkeypatch):
     monkeypatch.setattr(arith, "_brent_rho", no_rho)
     entry = bounds._search_witness(2, 13, 7, 0)
     assert (entry.p, entry.valid) == (29, True)
+
+
+@pytest.mark.parametrize("d,m", [(2, 7), (3, 5), (5, 4)])
+def test_certificate_matches_the_two_loop_search(monkeypatch, d, m):
+    # c = 1 has a_1 = 1, so iterate 1 has no prime to walk; budgets 0 and 1
+    # stop the scan before and at p = 2
+    for c in range(-4, 6):
+        if classify_integer_param(d, c).kind == "PCF-integer":
+            continue
+        for budget in (0, 1, 50, 300):
+            got = maximality_certificate(d, c, m, scan_budget=budget)
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "_search_witness", two_loop_search_witness)
+                expected = maximality_certificate(d, c, m, scan_budget=budget)
+            assert got == expected, (c, budget)
+
+
+@pytest.mark.parametrize("d,c,n", [(2, 3, 2), (2, 3, 3), (2, 11, 8), (3, 1, 3), (3, 3, 1), (2, 1, 1)])
+def test_scan_walks_only_primes_dividing_a_n(monkeypatch, d, c, n):
+    # no witness at any of these, so the scan runs to the end of its budget
+    walked = []
+    real = bounds._entry_for
+    monkeypatch.setattr(bounds, "_entry_for",
+                        lambda *args: walked.append(args[3]) or real(*args))
+    assert bounds._search_witness(d, c, n, 2000) is None
+    a_n, _ = exact_iterate(d, c, n)
+    assert all(a_n % p == 0 for p in walked)
+
+
+def test_scan_beyond_the_digit_guard_walks_every_prime(monkeypatch):
+    # a_18 at c = 3 is too large to compute, so each of the first 50 primes
+    # but 2, which divides d, is walked
+    walked = []
+    real = bounds._entry_for
+    monkeypatch.setattr(bounds, "_entry_for",
+                        lambda *args: walked.append(args[3]) or real(*args))
+    assert bounds._search_witness(2, 3, 18, 50) is None
+    assert walked == arith.primes_up_to(229)[1:]
 
 
 class TestEulerPhi:

@@ -10,13 +10,14 @@ from critorbit import (
     PrimePowerConstraint,
     SearchExhaustedError,
     build_parameter,
+    check_condition_star,
     find_base,
     find_prime_for_iterate,
     gleason_poly,
     primes_up_to,
     verify_spec,
 )
-from critorbit import constructor
+from critorbit import constructor, orbit, pcf
 
 from oracles import orbit_walk
 
@@ -134,6 +135,10 @@ class TestFindPrimeForIterate:
         with pytest.raises(SearchExhaustedError):
             find_prime_for_iterate(3, 1, ceiling=7)
         assert tried == [2, 5, 7]
+        tried.clear()
+        with pytest.raises(SearchExhaustedError):
+            find_prime_for_iterate(2, 31, ceiling=31)  # a prime n is tried itself
+        assert tried == [31]
 
 
 class TestSpecValidation:
@@ -316,3 +321,28 @@ def test_automatic_scan_passes_over_a_double_root_base():
     with pytest.raises(DiscObstructionError, match="78 mod 137 is not a simple root"):
         build_parameter(_pinned(2, 9, 137))
     _assert_pinned_and_automatic_agree(2, 9, frozenset(excluded))
+
+
+def test_screened_build_runs_no_simple_root_walk(monkeypatch):
+    # a prime that passes the discriminant screen (degree <= 128) has G
+    # squarefree mod p, so its base is a simple root without a walk; pinned
+    # primes include p = d = 2, and 13 fails the screen at n = 5
+    calls = []
+    monkeypatch.setattr(pcf, "_derivative_walk",
+                        lambda *args: calls.append(args) or orbit._derivative_walk(*args))
+    for d, top in ((2, 6), (3, 4)):
+        automatic = tuple(PrimePowerConstraint(n=n, k=2) for n in range(1, top + 1))
+        assert build_parameter(DivisibilitySpec(d=d, constraints=automatic)).all_verified
+    assert build_parameter(SIX_CONSTRAINTS).all_verified
+    with pytest.raises(DiscObstructionError, match="divides disc"):
+        build_parameter(_pinned(2, 5, 13))
+    assert not calls
+
+
+def test_unscreened_double_root_base_is_refused(monkeypatch):
+    # 3 is the only base of exact period 5 mod 13, and a double root of
+    # f^5(0) there; with the screen off the simple-root walk refuses it
+    assert check_condition_star(2, 13, 5) == (False, [3]) and find_base(2, 5, 13) == 3
+    monkeypatch.setattr(constructor, "_DISC_SCREEN_DEGREE", 0)
+    with pytest.raises(DiscObstructionError, match="3 mod 13 is not a simple root"):
+        build_parameter(_pinned(2, 5, 13))

@@ -30,7 +30,6 @@ from critorbit.gleason import (
     _crt_primes,
     _divmod_p,
     _mahler_bound,
-    _next_probable_prime_below,
     _resultant_mod_p,
     _xshift_pow,
 )
@@ -401,10 +400,11 @@ def test_resultant_skips_a_modulus_where_euclid_meets_a_non_unit():
     # the first CRT modulus is a product of the first primes below 2^61 - 1;
     # x^3 mod x^2 + u x + (u^2 - q) is q x + u^3 - u q, whose leading
     # coefficient is a unit mod every prime but q
+    sympy = pytest.importorskip("sympy")
     first = []
     prime = (1 << 61) - 1
     for _ in range(_PRIMES_PER_MODULUS):
-        prime = _next_probable_prime_below(prime)
+        prime = int(sympy.prevprime(prime))
         first.append(prime)
     modulus, q, u = prod(first), first[1], 3
     f, g = [0, 0, 0, 1], [u * u - q, u, 1]
@@ -415,10 +415,11 @@ def test_resultant_skips_a_modulus_where_euclid_meets_a_non_unit():
 
 def test_crt_prime_table_matches_the_walk():
     # the table, then the walk on from its last entry, gives the primes below
-    # 2^61 - 1 in the order the walk from 2^61 - 1 finds them
+    # 2^61 - 1 in descending order, as sympy's prevprime finds them
+    sympy = pytest.importorskip("sympy")
     walk, prime = [], (1 << 61) - 1
     for _ in range(len(_CRT_PRIME_OFFSETS) + 6):
-        prime = _next_probable_prime_below(prime)
+        prime = int(sympy.prevprime(prime))
         walk.append(prime)
     assert list(itertools.islice(_crt_primes(), len(walk))) == walk
     assert [(1 << 61) - q for q in walk[: len(_CRT_PRIME_OFFSETS)]] == list(_CRT_PRIME_OFFSETS)

@@ -62,7 +62,13 @@ prime from 2^14 up), ``density --d 3 --n 3 --limit 20000 --threads 2`` (odd d,
 with a pooled tail) and ``density --d 2 --n 4 --limit 16440 --threads 2`` (a
 5-prime tail, below 4 x workers, so it runs serially) before one scan built G,
 disc(G) and the batch in the calling process and sent only the primes from
-2^14 up to worker processes, so a refactor that
+2^14 up to worker processes, and ``certify --d 2 --c 3 --m 8 --budget 2000``
+and ``certify --d 2 --c 11 --m 8 --budget 1500`` (iterates 2 and 3, and
+iterate 8, use the whole scan), ``certify --d 5 --c 2 --m 8 --budget 100``
+(a_8 is beyond the factoring digit guard, so the scan walks every prime) and
+``disc --d 2 --n 8`` (64 of its 128 CRT primes come from the walk past the
+table) before every prime walk became ``filter(is_prime, ...)`` and the
+witness scan walked only the primes dividing a_n, so a refactor that
 changes any payload byte (key order, number formatting, an answer) fails
 here.  Together the cases cover all 18 subcommands, exit
 codes 0, 1 and 2, ``density --csv``, ``certify --check``,
@@ -439,6 +445,18 @@ CASES = [
      "da771acc1b75db1285bbbe37f11e8fc1690f6f03d603f4ac9fe390d5f3827f2d"),
     ("density-pooled-short-tail", "density --d 2 --n 4 --limit 16440 --threads 2", 0,
      "7845249bba607e82cd974144c0ce47ee91cab02cad9a213e7303ea506af411e0"),
+    # witness scans that use their whole budget (iterates 2 and 3 at c = 3,
+    # iterate 8 at c = 11), one whose a_8 is beyond the factoring digit guard,
+    # so every prime of the budget is walked, and a discriminant that draws
+    # 64 of its 128 CRT primes from the walk past the table
+    ("certify-scan-exhausted", "certify --d 2 --c 3 --m 8 --budget 2000", 1,
+     "14a5a6e1a309456eb253645d3e1a15f1ec6ce4f963721268d3305725db5348a9"),
+    ("certify-scan-exhausted-late", "certify --d 2 --c 11 --m 8 --budget 1500", 1,
+     "d8718cc6e72045e32b76f8fcf47a79582f966835717a4a2d07c1b308618aaf4f"),
+    ("certify-beyond-digit-guard", "certify --d 5 --c 2 --m 8 --budget 100", 1,
+     "446cb9208e57d61c385730a2d9d39e5882e52ed09c3214e0c57c144acb4f1abf"),
+    ("disc-quadratic-8", "disc --d 2 --n 8", 0,
+     "cb189fb889220e4642eb61cc14200c1a9576c86bcaf9dd13feee15946894b6a5"),
 ]
 
 

@@ -189,6 +189,43 @@ class TestCorrespondence:
         assert not report.guaranteed
         assert not report.strictly_preperiodic_excluded
 
+    def test_verdict_from_the_lifts_matches_the_census_check(self, monkeypatch):
+        # the grid holds p <= d and primes with simple-root failures; the
+        # report reads its verdict off its lifts, with no second census pass
+        expected = {(d, p): check_condition_star_star(d, p) for d, p in DEGREE_PRIME_PAIRS}
+        assert not all(expected.values()) and any(p <= d for d, p in expected)
+        monkeypatch.setattr(pcf, "_star_star_failures", None)
+        for (d, p), star_star in expected.items():
+            report = correspondence_report(d, p, 2)
+            if p <= d:
+                hypothesis = f"residue characteristic {p} is not larger than the degree {d}"
+            elif star_star:
+                hypothesis = "simple-root condition holds at every observed period"
+            else:
+                hypothesis = "correspondence not guaranteed"
+            assert (report.guaranteed, report.hypothesis) == (p > d and star_star, hypothesis)
+            simple = all(e.lift is not None and e.lift.nu_derivative == 0
+                         for e in report.entries)
+            assert simple == star_star, (d, p)
+
+    def test_a_double_root_that_lifts_fails_the_verdict(self, monkeypatch):
+        # at d = 7, p = 19 the double root 14 of period 3 lifts, with
+        # nu(F) = 3 and nu(F') = 1, while the other five do not; left alone
+        # in the census it still voids the guarantee
+        census = enumerate_pcf(7, 19)
+        failures = condition_star_star_failures(7, 19)
+        assert (14, 3) in failures
+        for c, _ in failures:
+            if c != 14:
+                del census.periodic[c]
+        monkeypatch.setattr(pcf, "enumerate_pcf", lambda d, p: census)
+        report = correspondence_report(7, 19, 2)
+        lift = next(e.lift for e in report.entries if e.base_c == 14)
+        assert (lift.nu_value, lift.nu_derivative) == (3, 1)
+        assert all(e.lift is not None for e in report.entries)
+        assert not report.guaranteed
+        assert report.hypothesis == "correspondence not guaranteed"
+
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_condition_star_failures_are_the_period_n_star_star_failures(d):

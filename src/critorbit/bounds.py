@@ -25,6 +25,7 @@ from .arith import _trial_divide, factorize, is_prime
 from .errors import SizeGuardError, ZeroIterateError
 from .orbit import (
     RationalParam,
+    _first_zero,
     classify_integer_param,
     exact_iterate,
     is_primitive_divisor,
@@ -32,6 +33,8 @@ from .orbit import (
 
 _FACTOR_DIGIT_GUARD = 100_000
 _DEFAULT_PRIME_SCAN_BUDGET = 100_000
+# pi(10^6): how many of the scan's first primes trial division of a_n tries
+_TRIAL_PRIME_COUNT = 78_498
 
 
 def height(c) -> int:
@@ -266,7 +269,7 @@ def _entry_for(d: int, c: int, n: int, p: int) -> CertificateEntry:
 
 
 def _prime_factors(x: int) -> Iterator[int]:
-    """The primes of x > 1 in ascending order: those up to 10^6 by trial
+    """The primes of x >= 1 in ascending order: those up to 10^6 by trial
     division, then, only when the caller asks for more, those rho finds in
     the rest, which all exceed them.  Rho only below ~120 digits (it cannot
     split numbers that size anyway, and each iteration costs a full-width
@@ -276,26 +279,6 @@ def _prime_factors(x: int) -> Iterator[int]:
     if rest > 1:
         rho = 200_000 if x < 10**120 else 0
         yield from factorize(rest, trial_limit=1, rho_iterations=rho).primes()
-
-
-def _search_witness(
-    d: int, c: int, n: int, scan_budget: int
-) -> CertificateEntry | None:
-    # the primes of a_n first, when the exact iterate is desk-scale, then the
-    # first scan_budget primes; a witness divides a_n, so once a_n is known
-    # the scan walks only its divisors
-    try:
-        a_n, _ = exact_iterate(d, c, n, digit_guard=_FACTOR_DIGIT_GUARD)
-    except SizeGuardError:
-        a_n = None
-    factors = _prime_factors(abs(a_n)) if a_n is not None and abs(a_n) > 1 else ()
-    scan = islice(chain((2,), filter(is_prime, count(3, 2))), scan_budget)
-    for p in chain(factors, scan):
-        if d % p and (a_n is None or a_n % p == 0):
-            entry = _entry_for(d, c, n, p)
-            if entry.valid:
-                return entry
-    return None
 
 
 def maximality_certificate(
@@ -308,31 +291,47 @@ def maximality_certificate(
     """Build a per-iterate witness certificate for iterates 1..m.
 
     ``witnesses`` pins candidate primes per iterate (verification mode); any
-    iterate without a pinned prime is searched: candidates from factoring a_n
-    when feasible, then an ascending prime scan with the given budget.  Gaps
-    are recorded, not raised; a critically finite c, which has none, is refused.
+    other iterate tries the primes of a_n when feasible, then shares one
+    ascending scan of the first ``scan_budget`` primes.  Gaps are recorded,
+    not raised; a critically finite c, which has none, is refused.
     """
     if m < 1 or scan_budget < 0:
         raise ValueError("need m >= 1 and a scan budget >= 0")
     _check_infinite_orbit(d, c)
-    entries = []
-    missing = []
+    entries: dict[int, CertificateEntry] = {}
+    beyond_guard = False
     for n in range(1, m + 1):
         pinned = witnesses.get(n) if witnesses else None
         if pinned is not None:
-            entries.append(_entry_for(d, c, n, pinned))
+            entries[n] = _entry_for(d, c, n, pinned)
             continue
-        found = _search_witness(d, c, n, scan_budget)
-        if found is None:
-            missing.append(n)
-        else:
-            entries.append(found)
+        try:
+            a_n, _ = exact_iterate(d, c, n, digit_guard=_FACTOR_DIGIT_GUARD)
+        except SizeGuardError:
+            beyond_guard = True
+            continue
+        tried = (_entry_for(d, c, n, p) for p in _prime_factors(abs(a_n)) if d % p)
+        if (entry := next((e for e in tried if e.valid), None)) is not None:
+            entries[n] = entry
+    # a witness p for n is primitive, so n is the rank r(p), the first i with
+    # p | a_i.  Trial division has tried the primes up to 10^6 dividing each
+    # computed a_n, so a scan no further helps only beyond the digit guard
+    wanted = set(range(1, m + 1)) - entries.keys()
+    if not beyond_guard and scan_budget <= _TRIAL_PRIME_COUNT:
+        scan_budget = 0
+    for p in islice(chain((2,), filter(is_prime, count(3, 2))), scan_budget):
+        if not wanted:
+            break
+        rank = _first_zero(d, c % p, p, max(wanted)) if d % p else 0
+        if rank in wanted and (entry := _entry_for(d, c, rank, p)).valid:
+            entries[rank] = entry
+            wanted.remove(rank)
     return MaximalityCertificate(
         d=d,
         c=c,
         m=m,
-        entries=tuple(entries),
-        missing=tuple(missing),
+        entries=tuple(entries[n] for n in sorted(entries)),
+        missing=tuple(sorted(wanted)),
         neg_c_is_square=_neg_c_is_square(d, c),
     )
 

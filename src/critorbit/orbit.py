@@ -165,13 +165,19 @@ def _orbit_period_brent(
             period = 0
         hare = _step(hare, d, c, modulus)
         period += 1
-    tortoise, hare = x0, _critical_walk(d, c, modulus, period, x0)
+    return _cycle_entry(d, c, modulus, period, x0)
+
+
+def _cycle_entry(d: int, c: int, modulus: int, k: int, start: int) -> tuple[int, int, int]:
+    """(tail, k, cycle entry) of ``start`` whose cycle has length k: the entry
+    is the first x_i with x_i = x_(i + k), found by a lockstep walk."""
+    x = start % modulus
+    lead = _critical_walk(d, c, modulus, k, x)
     tail = 0
-    while tortoise != hare:
-        tortoise = _step(tortoise, d, c, modulus)
-        hare = _step(hare, d, c, modulus)
+    while x != lead:
+        x, lead = _step(x, d, c, modulus), _step(lead, d, c, modulus)
         tail += 1
-    return tail, period, tortoise
+    return tail, k, x
 
 
 def _critical_walk(d: int, c: int, modulus: int, n: int, start: int = 0) -> int:
@@ -247,15 +253,8 @@ def _period_type_levels(
     tail, k1, entry = _orbit_period_ints(d, c % p, p, start)
     lam = _multiplier(d, c, p, entry, k1)
     if lam == 0:
-        # attracting: the period stays k1, so the entry is the first x_i
-        # with x_i = x_(i + k1)
-        x = start % modulus
-        lead = _critical_walk(d, c, modulus, k1, x)
-        tail = 0
-        while x != lead:
-            x, lead = _step(x, d, c, modulus), _step(lead, d, c, modulus)
-            tail += 1
-        return tail, k1, x
+        # attracting: the period stays k1, and only the tail grows
+        return _cycle_entry(d, c, modulus, k1, start)
     entry = _critical_walk(d, c, modulus, tail, start)
     period = k1
     for s in range(1, t):

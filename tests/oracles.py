@@ -8,12 +8,13 @@ wheel one candidate at a time, and first zeros of the critical orbit by a
 visited set or by Floyd's tortoise and hare.  Two keep the package's earlier
 hand-written prime loops: a next-prime walk over odd candidates, and the
 witness search that ran the primes of a_n and then a scan of every prime, as
-two loops.
+two loops, for one iterate at a time.
 """
 
 from fractions import Fraction
+from math import isqrt
 
-from critorbit import LiftResult, Residue
+from critorbit import LiftResult, MaximalityCertificate, Residue
 from critorbit.arith import is_prime
 from critorbit.bounds import _FACTOR_DIGIT_GUARD, _entry_for, _prime_factors
 from critorbit.errors import SizeGuardError
@@ -256,3 +257,28 @@ def two_loop_search_witness(d: int, c: int, n: int, scan_budget: int):
                 return entry
         p = odd_step_next_prime(p)
     return None
+
+
+def per_iterate_certificate(
+    d: int, c: int, m: int, witnesses: dict[int, int] | None, scan_budget: int
+) -> MaximalityCertificate:
+    """The certificate of iterates 1..m built one iterate at a time: a pinned
+    witness is checked as given, any other iterate runs its own two-loop
+    search."""
+    entries, missing = [], []
+    for n in range(1, m + 1):
+        pinned = (witnesses or {}).get(n)
+        if pinned is not None:
+            entries.append(_entry_for(d, c, n, pinned))
+        elif (entry := two_loop_search_witness(d, c, n, scan_budget)) is not None:
+            entries.append(entry)
+        else:
+            missing.append(n)
+    return MaximalityCertificate(
+        d=d,
+        c=c,
+        m=m,
+        entries=tuple(entries),
+        missing=tuple(missing),
+        neg_c_is_square=-c >= 0 and isqrt(-c) ** 2 == -c if d == 2 else None,
+    )

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import re
 import sys
+from copy import copy
+from itertools import tee
 
 import pytest
 
@@ -22,7 +24,8 @@ from critorbit import arith, bounds
 from critorbit.arith import Factorization
 from critorbit.bounds import euler_phi
 from critorbit.orbit import classify_integer_param
-from oracles import two_loop_search_witness
+import oracles
+from oracles import per_iterate_certificate
 from test_acceptance import C29, PRIMES_29
 
 
@@ -292,8 +295,8 @@ class TestMaximalityCertificate:
             self, monkeypatch, d, c, reason):
         # c = -2 at d = 2 once scanned the whole budget for every iterate
         # (a_n = 2 for n >= 2) and c = -1 at d = 2 scanned it before a_2 = 0
-        monkeypatch.setattr(bounds, "_search_witness", None)
-        monkeypatch.setattr(bounds, "_entry_for", None)
+        for name in ("_prime_factors", "_first_zero", "_entry_for"):
+            monkeypatch.setattr(bounds, name, None)
         with pytest.raises(ValueError, match=f"{re.escape(reason)} is critically finite"):
             maximality_certificate(d, c, 3)
         with pytest.raises(ValueError, match="critically finite"):
@@ -321,8 +324,13 @@ def test_witness_search_sizes_a_n_under_the_default_int_to_str_limit(monkeypatch
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # cli.main lifts it for the whole process
     try:
-        assert bounds._search_witness(2, 3, 14, scan_budget=0) is None
-        assert bounds._search_witness(2, 3, 3, scan_budget=0) is None
+        # the other iterates are pinned, so a_14 and then a_3 alone are factored
+        cert = maximality_certificate(
+            2, 3, 14, witnesses={n: 3 for n in range(1, 14)}, scan_budget=0
+        )
+        assert cert.missing == (14,)
+        cert = maximality_certificate(2, 3, 3, witnesses={1: 3, 2: 3}, scan_budget=0)
+        assert cert.missing == (3,)
     finally:
         sys.set_int_max_str_digits(saved)
     # rho only below 120 digits: none for a_14, the full budget for a_3 = 147
@@ -331,51 +339,135 @@ def test_witness_search_sizes_a_n_under_the_default_int_to_str_limit(monkeypatch
 
 def test_witness_search_skips_rho_when_a_trial_prime_is_a_witness(monkeypatch):
     # a_7 at c = 13 has 73 digits, so rho would get its full budget; the
-    # witness 29 is found by trial division first
+    # witness 29 is found by trial division first, as are those of a_1..a_6
     def no_rho(n, max_iterations):
         raise AssertionError("rho ran")
 
     monkeypatch.setattr(arith, "_brent_rho", no_rho)
-    entry = bounds._search_witness(2, 13, 7, 0)
-    assert (entry.p, entry.valid) == (29, True)
+    entry = maximality_certificate(2, 13, 7, scan_budget=0).entries[-1]
+    assert (entry.n, entry.p, entry.valid) == (7, 29, True)
 
 
 @pytest.mark.parametrize("d,m", [(2, 7), (3, 5), (5, 4)])
 def test_certificate_matches_the_two_loop_search(monkeypatch, d, m):
     # c = 1 has a_1 = 1, so iterate 1 has no prime to walk; budgets 0 and 1
-    # stop the scan before and at p = 2
+    # stop the scan before and at p = 2.  Every a_n here is computed, so the
+    # scan runs only once the count of primes trial division tried is 0.
+    # Both sides draw the primes of each a_n, lazily, from one shared
+    # factoring: it is not what is compared, and it is most of the cost
+    factored = {}
+    real = bounds._prime_factors
+
+    def prime_factors(x):
+        if x not in factored:
+            factored[x] = tee(real(x), 1)[0]
+        return copy(factored[x])
+
+    monkeypatch.setattr(bounds, "_prime_factors", prime_factors)
+    monkeypatch.setattr(oracles, "_prime_factors", prime_factors)
     for c in range(-4, 6):
         if classify_integer_param(d, c).kind == "PCF-integer":
             continue
         for budget in (0, 1, 50, 300):
-            got = maximality_certificate(d, c, m, scan_budget=budget)
-            with monkeypatch.context() as patch:
-                patch.setattr(bounds, "_search_witness", two_loop_search_witness)
-                expected = maximality_certificate(d, c, m, scan_budget=budget)
-            assert got == expected, (c, budget)
+            for pins in (None, {2: 7}):
+                expected = per_iterate_certificate(d, c, m, pins, budget)
+                for tried in (bounds._TRIAL_PRIME_COUNT, 0):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(bounds, "_TRIAL_PRIME_COUNT", tried)
+                        got = maximality_certificate(d, c, m, pins, budget)
+                    assert got == expected, (c, budget, pins, tried)
 
 
-@pytest.mark.parametrize("d,c,n", [(2, 3, 2), (2, 3, 3), (2, 11, 8), (3, 1, 3), (3, 3, 1), (2, 1, 1)])
-def test_scan_walks_only_primes_dividing_a_n(monkeypatch, d, c, n):
-    # no witness at any of these, so the scan runs to the end of its budget
-    walked = []
-    real = bounds._entry_for
-    monkeypatch.setattr(bounds, "_entry_for",
-                        lambda *args: walked.append(args[3]) or real(*args))
-    assert bounds._search_witness(d, c, n, 2000) is None
-    a_n, _ = exact_iterate(d, c, n)
-    assert all(a_n % p == 0 for p in walked)
+def _spy_scan(monkeypatch) -> list[tuple]:
+    """Patch the scan's rank walk and entry check to log, in call order,
+    ("walk", rank, p) and ("entry", n, p)."""
+    calls = []
+    first_zero, entry_for = bounds._first_zero, bounds._entry_for
+
+    def walk(d, c, p, limit):
+        calls.append(("walk", first_zero(d, c, p, limit), p))
+        return calls[-1][1]
+
+    def entry(d, c, n, p):
+        calls.append(("entry", n, p))
+        return entry_for(d, c, n, p)
+
+    monkeypatch.setattr(bounds, "_first_zero", walk)
+    monkeypatch.setattr(bounds, "_entry_for", entry)
+    return calls
+
+
+@pytest.mark.parametrize("d,c,m", [(2, 3, 2), (2, 3, 3), (2, 11, 8), (3, 1, 3), (3, 3, 1), (2, 1, 1)])
+def test_scan_walks_only_primes_dividing_a_n(monkeypatch, d, c, m):
+    # iterate m has no witness at any of these, so the scan, forced to run
+    # inside the primes trial division tried, goes to the end of its budget
+    # with one rank walk per prime not dividing d; a prime is checked only
+    # at its rank, right after its walk, and so only where it divides a_n
+    monkeypatch.setattr(bounds, "_TRIAL_PRIME_COUNT", 0)
+    calls = _spy_scan(monkeypatch)
+    assert m in maximality_certificate(d, c, m, scan_budget=2000).missing
+    walks = [p for kind, _, p in calls if kind == "walk"]
+    assert walks == [p for p in arith.primes_up_to(17389) if d % p]
+    first_walk = next(i for i, e in enumerate(calls) if e[0] == "walk")
+    for i, (kind, n, p) in enumerate(calls):
+        if kind == "entry":
+            assert exact_iterate(d, c, n)[0] % p == 0, (n, p)
+            assert i < first_walk or calls[i - 1] == ("walk", n, p), (n, p)
 
 
 def test_scan_beyond_the_digit_guard_walks_every_prime(monkeypatch):
     # a_18 at c = 3 is too large to compute, so each of the first 50 primes
-    # but 2, which divides d, is walked
-    walked = []
-    real = bounds._entry_for
-    monkeypatch.setattr(bounds, "_entry_for",
-                        lambda *args: walked.append(args[3]) or real(*args))
-    assert bounds._search_witness(2, 3, 18, 50) is None
-    assert walked == arith.primes_up_to(229)[1:]
+    # but 2, which divides d, gets exactly one rank walk; the other iterates
+    # are pinned, so 18 is the only one wanted
+    calls = _spy_scan(monkeypatch)
+    cert = maximality_certificate(
+        2, 3, 18, witnesses={n: 3 for n in range(1, 18)}, scan_budget=50
+    )
+    assert cert.missing == (18,)
+    walks = [p for kind, _, p in calls if kind == "walk"]
+    assert walks == arith.primes_up_to(229)[1:]
+
+
+def test_one_scan_serves_every_iterate_beyond_the_digit_guard(monkeypatch):
+    # a_5 and a_6 at d = 23 are too large to compute: the scan finds 7 of
+    # rank 5 and 13 of rank 6, checks only those, and stops at 13
+    calls = _spy_scan(monkeypatch)
+    cert = maximality_certificate(23, 2, 6, scan_budget=100)
+    assert cert.complete
+    scan = calls[next(i for i, e in enumerate(calls) if e[0] == "walk"):]
+    assert [e for e in scan if e[0] == "entry"] == [("entry", 5, 7), ("entry", 6, 13)]
+    assert [p for kind, _, p in scan if kind == "walk"] == [2, 3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("d,c,m", [(11, 1, 7), (8, -6, 8)])
+def test_scan_beyond_the_digit_guard_matches_the_two_loop_search(d, c, m):
+    # the last two iterates are beyond the digit guard, and the later one
+    # has the smaller witness (7 before 13, and 19 before 47), so each scan
+    # prime must be walked up to the largest iterate still wanted
+    pins = {n: 3 for n in range(1, m - 1)}
+    cert = maximality_certificate(d, c, m, pins, scan_budget=20)
+    assert cert == per_iterate_certificate(d, c, m, pins, scan_budget=20)
+    assert not cert.missing
+
+
+def test_trial_prime_count_is_pi_of_the_trial_limit(monkeypatch):
+    limits = []
+    real = bounds._trial_divide
+    monkeypatch.setattr(bounds, "_trial_divide",
+                        lambda x, limit: limits.append(limit) or real(x, limit))
+    assert list(bounds._prime_factors(6)) == [2, 3]
+    assert limits == [10**6]
+    assert bounds._TRIAL_PRIME_COUNT == len(arith.primes_up_to(limits[0]))
+
+
+@pytest.mark.parametrize("c,m", [(3, 8), (11, 8), (3, 3), (1, 1)])
+def test_scan_inside_the_trial_primes_is_skipped(monkeypatch, c, m):
+    # every a_n is computed, so trial division has tried each prime of a
+    # budget of pi(10^6) primes that divides it: no rank walk can help
+    calls = _spy_scan(monkeypatch)
+    cert = maximality_certificate(2, c, m, scan_budget=bounds._TRIAL_PRIME_COUNT)
+    assert cert.missing
+    assert not [e for e in calls if e[0] == "walk"]
 
 
 class TestEulerPhi:

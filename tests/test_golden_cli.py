@@ -1,79 +1,102 @@
 """Golden CLI corpus: exact stdout bytes and exit codes of fixed invocations.
 
 Each case stores the SHA-256 of everything ``critorbit.cli.main`` writes to
-stdout plus its exit code.  The hashes were recorded before the orbit kernel
-was merged, the three large-prime ``roots`` and pooled ``density`` cases
-before the ``F_p[x]`` helpers were merged, and the automatic-prime and
-inadmissible-prime ``construct`` cases, the cubic ``condition`` cases and the
-wrong-period ``lift`` before the F_p base search was shared, and the five
-deep ``orbit`` cases (growing, attracting and p = 2 cycles) before period
-types over Z/p^t were computed level by level, and the ``roots`` cases at
-p = 2, 3, 99991 and 999983, ``disc --d 2 --n 6`` and the simple-root
-``correspond`` case before roots below 10^6 stopped coming from a scan over
-all residues, and the exact-zero ``lift`` cases and the period-6 and
-period-8 automatic ``construct`` cases before the construction tested
-p | disc(G) mod p instead of reducing the integer discriminant, and the two
-``construct`` cases with pinned primes above 10^6 (the Gleason-root branch
-of the base search) before the CLI's parser was rebuilt from one flag table,
-and the p <= d ``correspond`` case before the correspondence's Gleason
-discriminant fallback was deleted, and the degree-120 ``roots`` cases (at
-p above 10^6 and at p = 13, below the degree) and the degree-80 ``density``
-scan before x^p mod G was computed on packed integers, and the 1,672-digit
-``lift`` at p = 47, the nu(F') = 1 ``lift`` at p = 3, the p = 2 and
-negative-base ``lift`` cases and the 600-digit ``adjust`` before the Newton
-lift of a simple root ran at doubling precision, and the ``pcf``,
-``condition`` and ``correspond`` cases at d = 4, 5 and 7 (classes
-{u c : u^(d-1) = 1} of 3, 4 and 6 parameters, in and out of the permutation
-case, with and without simple-root failures) before the census walked one
-parameter per class, and the ``construct`` cases with pinned primes above
-10^6 at d = 3 and d = 4 (Gleason roots in classes of 2 and of 3) before the
-census keyed its classes by c^(d-1), and the five ``density`` cases at
-n = 1 (G(0) = 0, so the product of G(c) is 0), at d = 4, at the prime limit
-997 in CSV, and at limit 17000, which straddles 2^14, alone and with two
-workers, before the primes below 2^14 shared one product of G(c) reduced
-mod their product, and the ``primitive`` and ``valuation`` cases at n a proper
-multiple of the rank r(p) of p (the first i with p | a_i) and at n not a
-multiple of it, for integer and rational c, at p = 2, at p = d = 3 and for
-c = -1, d even at odd and even n, before both came from the rank's one walk,
-and ``certify --d 2 --c 13 --m 8 --budget 50`` (rho skipped at n = 7, where
-the witness is 29), ``certify --d 2 --c 3 --m 8 --budget 50``, ``certify
---d 2 --c -12 --m 7 --budget 50`` (the n = 7 witness 19588213 comes from an
-incomplete rho), ``factor --x 375194125579`` (7^2 * 13 * 19 * 31 * 1000003:
-the composite 247 = 13 * 19 precedes 13 on the mod-30 wheel) and ``rho --d 2
---c 9 --n 5`` before trial division collected its divisors in one pass over
-the wheel and the witness search ran rho only when no trial prime was a
-witness, and ``condition --d 2 --p 251 --n 19`` (the failure 126, at n above
-the square root of p), ``condition --d 3 --p 67 --n 10`` (the class {9, 58}),
-``condition --d 4 --p 43 --n 8`` (the class {5, 8, 30}, outside the
-permutation case) and ``lift --d 2 --n 2 --p 5 --c0 2 --precision 3`` (a
-strictly preperiodic base, found tail 2, period 2) before exact period n came
-from the first zero of the critical orbit, and ``disc --d 2 --n 7`` and ``disc
---d 3 --n 5`` (discriminants of 376 and 506 bits), ``condition --d 3 --p 2399
---n 5`` and ``condition --d 5 --p 173 --n 34`` (given n where x^d + c permutes
-F_p, the second with the failures 20, 43, 130 and 153) before the CRT
-discriminant stopped at Mahler's bound over four-prime moduli and a given-n
-scan in the permutation case stopped at the first zero, and ``density --d 3
---n 3 --limit 15000``, ``density --d 3 --n 2 --limit 2`` (p = 2 alone, where
-c = 1 is its own negative), ``density --d 5 --n 2 --limit 1000`` and
-``density --d 3 --n 3 --limit 3000 --threads 2`` before the batch evaluated
-G at only half the residues for odd d and reduced mod the primes' product by
-Barrett's method, and ``density --d 2 --n 6 --limit 1770 --threads 2`` (no
-prime from 2^14 up), ``density --d 3 --n 3 --limit 20000 --threads 2`` (odd d,
-with a pooled tail) and ``density --d 2 --n 4 --limit 16440 --threads 2`` (a
-5-prime tail, below 4 x workers, so it runs serially) before one scan built G,
-disc(G) and the batch in the calling process and sent only the primes from
-2^14 up to worker processes, and ``certify --d 2 --c 3 --m 8 --budget 2000``
-and ``certify --d 2 --c 11 --m 8 --budget 1500`` (iterates 2 and 3, and
-iterate 8, use the whole scan), ``certify --d 5 --c 2 --m 8 --budget 100``
-(a_8 is beyond the factoring digit guard, so the scan walks every prime) and
-``disc --d 2 --n 8`` (64 of its 128 CRT primes come from the walk past the
-table) before every prime walk became ``filter(is_prime, ...)`` and the
-witness scan walked only the primes dividing a_n, so a refactor that
-changes any payload byte (key order, number formatting, an answer) fails
-here.  Together the cases cover all 18 subcommands, exit
-codes 0, 1 and 2, ``density --csv``, ``certify --check``,
-rational parameters, root splitting at primes from 2 to above 10^6 and
-density scans whose primes from 2^14 up run in two worker processes.
+stdout plus its exit code.  Each bullet below is one recording, made at the
+parent commit of the change it names, so a refactor that changes any payload
+byte (key order, number formatting, an answer) fails here:
+
+- recorded before the orbit kernel was merged: the first cases;
+- recorded before the ``F_p[x]`` helpers were merged: the three large-prime
+  ``roots`` and pooled ``density`` cases;
+- recorded before the F_p base search was shared: the automatic-prime and
+  inadmissible-prime ``construct`` cases, the cubic ``condition`` cases and
+  the wrong-period ``lift``;
+- recorded before period types over Z/p^t were computed level by level: the
+  five deep ``orbit`` cases (growing, attracting and p = 2 cycles);
+- recorded before roots below 10^6 stopped coming from a scan over all
+  residues: the ``roots`` cases at p = 2, 3, 99991 and 999983, ``disc --d 2
+  --n 6`` and the simple-root ``correspond`` case;
+- recorded before the construction tested p | disc(G) mod p instead of
+  reducing the integer discriminant: the exact-zero ``lift`` cases and the
+  period-6 and period-8 automatic ``construct`` cases;
+- recorded before the CLI's parser was rebuilt from one flag table: the two
+  ``construct`` cases with pinned primes above 10^6 (the Gleason-root branch
+  of the base search);
+- recorded before the correspondence's Gleason discriminant fallback was
+  deleted: the p <= d ``correspond`` case;
+- recorded before x^p mod G was computed on packed integers: the degree-120
+  ``roots`` cases (at p above 10^6 and at p = 13, below the degree) and the
+  degree-80 ``density`` scan;
+- recorded before the Newton lift of a simple root ran at doubling
+  precision: the 1,672-digit ``lift`` at p = 47, the nu(F') = 1 ``lift`` at
+  p = 3, the p = 2 and negative-base ``lift`` cases and the 600-digit
+  ``adjust``;
+- recorded before the census walked one parameter per class: the ``pcf``,
+  ``condition`` and ``correspond`` cases at d = 4, 5 and 7 (classes
+  {u c : u^(d-1) = 1} of 3, 4 and 6 parameters, in and out of the
+  permutation case, with and without simple-root failures);
+- recorded before the census keyed its classes by c^(d-1): the
+  ``construct`` cases with pinned primes above 10^6 at d = 3 and d = 4
+  (Gleason roots in classes of 2 and of 3);
+- recorded before the primes below 2^14 shared one product of G(c) reduced
+  mod their product: the five ``density`` cases at n = 1 (G(0) = 0, so the
+  product of G(c) is 0), at d = 4, at the prime limit 997 in CSV, and at
+  limit 17000, which straddles 2^14, alone and with two workers;
+- recorded before both came from the rank's one walk: the ``primitive`` and
+  ``valuation`` cases at n a proper multiple of the rank r(p) of p (the
+  first i with p | a_i) and at n not a multiple of it, for integer and
+  rational c, at p = 2, at p = d = 3 and for c = -1, d even at odd and
+  even n;
+- recorded before trial division collected its divisors in one pass over
+  the wheel and the witness search ran rho only when no trial prime was a
+  witness: ``certify --d 2 --c 13 --m 8 --budget 50`` (rho skipped at
+  n = 7, where the witness is 29), ``certify --d 2 --c 3 --m 8 --budget
+  50``, ``certify --d 2 --c -12 --m 7 --budget 50`` (the n = 7 witness
+  19588213 comes from an incomplete rho), ``factor --x 375194125579``
+  (7^2 * 13 * 19 * 31 * 1000003: the composite 247 = 13 * 19 precedes 13 on
+  the mod-30 wheel) and ``rho --d 2 --c 9 --n 5``;
+- recorded before exact period n came from the first zero of the critical
+  orbit: ``condition --d 2 --p 251 --n 19`` (the failure 126, at n above the
+  square root of p), ``condition --d 3 --p 67 --n 10`` (the class {9, 58}),
+  ``condition --d 4 --p 43 --n 8`` (the class {5, 8, 30}, outside the
+  permutation case) and ``lift --d 2 --n 2 --p 5 --c0 2 --precision 3`` (a
+  strictly preperiodic base, found tail 2, period 2);
+- recorded before the CRT discriminant stopped at Mahler's bound over
+  four-prime moduli and a given-n scan in the permutation case stopped at
+  the first zero: ``disc --d 2 --n 7`` and ``disc --d 3 --n 5``
+  (discriminants of 376 and 506 bits), ``condition --d 3 --p 2399 --n 5``
+  and ``condition --d 5 --p 173 --n 34`` (given n where x^d + c permutes
+  F_p, the second with the failures 20, 43, 130 and 153);
+- recorded before the batch evaluated G at only half the residues for odd d
+  and reduced mod the primes' product by Barrett's method: ``density --d 3
+  --n 3 --limit 15000``, ``density --d 3 --n 2 --limit 2`` (p = 2 alone,
+  where c = 1 is its own negative), ``density --d 5 --n 2 --limit 1000`` and
+  ``density --d 3 --n 3 --limit 3000 --threads 2``;
+- recorded before one scan built G, disc(G) and the batch in the calling
+  process and sent only the primes from 2^14 up to worker processes:
+  ``density --d 2 --n 6 --limit 1770 --threads 2`` (no prime from 2^14 up),
+  ``density --d 3 --n 3 --limit 20000 --threads 2`` (odd d, with a pooled
+  tail) and ``density --d 2 --n 4 --limit 16440 --threads 2`` (a 5-prime
+  tail, below 4 x workers, so it runs serially);
+- recorded before every prime walk became ``filter(is_prime, ...)`` and the
+  witness scan walked only the primes dividing a_n: ``certify --d 2 --c 3
+  --m 8 --budget 2000`` and ``certify --d 2 --c 11 --m 8 --budget 1500``
+  (iterates 2 and 3, and iterate 8, use the whole scan), ``certify --d 5 --c
+  2 --m 8 --budget 100`` (a_8 is beyond the factoring digit guard, so the
+  scan walks every prime) and ``disc --d 2 --n 8`` (64 of its 128 CRT primes
+  come from the walk past the table);
+- recorded before the witness search became one scan per certificate that
+  tests each prime only at its rank: ``certify --d 23 --c 2 --m 6 --budget
+  100`` (a_5 and a_6 are beyond the factoring digit guard, and one scan
+  finds their witnesses 7 and 13) and ``certify --d 2 --c 3 --m 3 --budget
+  80000`` (a budget past the 78,498 primes up to 10^6 with every a_n
+  computed: the scan meets 7, of rank 3 with nu_7(a_3) = 2, and runs to
+  its end).
+
+Together the cases cover all 18 subcommands, exit codes 0, 1 and 2,
+``density --csv``, ``certify --check``, rational parameters, root splitting
+at primes from 2 to above 10^6 and density scans whose primes from 2^14 up
+run in two worker processes.
 
 Exit code 3 (``exhausted``) is not covered here.  Two CLI paths raise
 ``SearchExhaustedError``: the automatic prime search of ``construct``, which
@@ -457,6 +480,12 @@ CASES = [
      "446cb9208e57d61c385730a2d9d39e5882e52ed09c3214e0c57c144acb4f1abf"),
     ("disc-quadratic-8", "disc --d 2 --n 8", 0,
      "cb189fb889220e4642eb61cc14200c1a9576c86bcaf9dd13feee15946894b6a5"),
+    # one witness scan per certificate: two iterates beyond the digit guard
+    # share it, and a budget past the primes up to 10^6 runs it to its end
+    ("certify-shared-scan", "certify --d 23 --c 2 --m 6 --budget 100", 0,
+     "de69e2eacf9b3f66766cfafee8cbc4ed5a282c2339bee17a4807fb844312ab78"),
+    ("certify-scan-past-trial-limit", "certify --d 2 --c 3 --m 3 --budget 80000", 1,
+     "3545e8f25177d15306630bf3a86cda0d83dc54d7ed1e9022e76684914a63c3d9"),
 ]
 
 

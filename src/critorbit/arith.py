@@ -16,7 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import compress, count
-from math import gcd, isqrt
+from math import gcd, isqrt, log10
+
+from .errors import SizeGuardError
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BASES = _TRIAL_PRIMES + (41,)
@@ -39,6 +41,9 @@ _MR_PSI = (
 _MR_RANDOM_ROUNDS = 64  # error probability <= 4^-64 = 2^-128
 
 _SIEVE_LIMIT = 10**7  # sieving beyond this is out of scope
+_DEFAULT_TRIAL_LIMIT = 10**6  # factoring's trial division bound
+_TRIAL_PRIME_COUNT = 78_498  # pi(_DEFAULT_TRIAL_LIMIT): the primes it tries
+_DEFAULT_RHO_BUDGET = 200_000  # Brent rho iterations per factoring
 
 
 def set_random_seed(seed: int | None = None) -> None:
@@ -136,6 +141,16 @@ def crt(pairs: list[tuple[int, int]]) -> int:
         value += modulus * t
         modulus *= m
     return value % modulus
+
+
+def _guard_power(base: int, exponent: int, limit: int, message: str) -> int:
+    """base^exponent for base >= 2, refused (SizeGuardError) above limit: it is
+    at least 2^(exponent * (bits(base) - 1)), so bit lengths refuse it unbuilt
+    where that exponent reaches bits(limit); the rest have under twice its bits."""
+    bits = exponent * (base.bit_length() - 1)
+    if bits < limit.bit_length() and (power := base**exponent) <= limit:
+        return power
+    raise SizeGuardError(message, int(exponent * log10(base)) + 1)
 
 
 def moebius(n: int) -> int:
@@ -257,7 +272,9 @@ def _trial_divide(x: int, trial_limit: int) -> tuple[dict[int, int], int]:
     return counts, rest
 
 
-def factorize(x: int, trial_limit: int = 10**6, rho_iterations: int = 200_000) -> Factorization:
+def factorize(
+    x: int, trial_limit: int = _DEFAULT_TRIAL_LIMIT, rho_iterations: int = _DEFAULT_RHO_BUDGET
+) -> Factorization:
     """Factor x > 1 by trial division then Brent rho with a bounded budget.
 
     Budget exhaustion is a normal outcome: the unfactored part is returned as
@@ -312,6 +329,7 @@ class Residue:
 
     @classmethod
     def reduce(cls, x: int, p: int, t: int) -> "Residue":
+        cls(p, t, 0)  # checks p and t first: x % p^t would divide by p = 0
         return cls(p, t, x % p**t)
 
     @property

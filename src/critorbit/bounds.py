@@ -16,12 +16,21 @@ scale to iterates whose exact values would have billions of digits.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import sys
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import chain, count, islice
 from math import gcd, isqrt
 
-from .arith import _trial_divide, factorize, is_prime
+from .arith import (
+    _DEFAULT_RHO_BUDGET,
+    _DEFAULT_TRIAL_LIMIT,
+    _TRIAL_PRIME_COUNT,
+    _guard_power,
+    _trial_divide,
+    factorize,
+    is_prime,
+)
 from .errors import SizeGuardError, ZeroIterateError
 from .orbit import (
     RationalParam,
@@ -33,8 +42,7 @@ from .orbit import (
 
 _FACTOR_DIGIT_GUARD = 100_000
 _DEFAULT_PRIME_SCAN_BUDGET = 100_000
-# pi(10^6): how many of the scan's first primes trial division of a_n tries
-_TRIAL_PRIME_COUNT = 78_498
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 def height(c) -> int:
@@ -53,22 +61,35 @@ def _log2_abs(x: int) -> float:
     return (x.bit_length() - 64) + math.log2(head)
 
 
+def _float_bound(d: int, n: int, bound_at: Callable[[int], float]) -> float:
+    """bound_at(d^(n-1)), refused (SizeGuardError) when d^(n-1), judged by
+    its bit length first, or the bound passes the float range."""
+    message = f"upper bound at scale {d}^{n - 1} exceeds the float range"
+    bound = bound_at(_guard_power(d, n - 1, _FLOAT_MAX, message))
+    if not math.isfinite(bound):
+        raise SizeGuardError(message, len(str(_FLOAT_MAX)))
+    return bound
+
+
 def rho_upper_bound(d: int, n: int, c) -> float:
     """Piecewise upper bound on the number of primitive prime divisors of a_n.
 
     Requires an infinite critical orbit; odd-degree negative parameters reduce
     to their positive mirror (the orbit values only change sign) before the
-    case dispatch.
+    case dispatch.  A bound beyond the float range is refused.
     """
     param = RationalParam.of(c)
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     if param.is_integer:
         _check_infinite_orbit(d, param.a)
-    a, b = param.a, param.b
+    return _float_bound(d, n, lambda scale: _piecewise_bound(d, scale, param.a, param.b))
+
+
+def _piecewise_bound(d: int, scale: int, a: int, b: int) -> float:
+    """rho_upper_bound's cases for c = a/b, at scale = d^(n-1)."""
     if d % 2 == 1 and a < 0:
         a = -a
-    scale = d ** (n - 1)
     log_a1 = _log2_abs(a)
     log_b = _log2_abs(b) if b > 1 else 0.0
     if d % 2 == 0:
@@ -91,18 +112,21 @@ def _check_infinite_orbit(d: int, c: int) -> None:
 
 
 def rho_upper_bound_general(d: int, n: int, c) -> float:
-    """The coarse bound valid for every parameter with infinite critical orbit."""
+    """The coarse bound valid for every parameter with infinite critical
+    orbit; one beyond the float range is refused."""
     param = RationalParam.of(c)
-    scale = d ** (n - 1)
-    return scale * (3 + _log2_abs(height(param))) + _log2_abs(param.a)
+    if d < 2 or n < 1:
+        raise ValueError("need d >= 2 and n >= 1")
+    log_h, log_a = _log2_abs(height(param)), _log2_abs(param.a)
+    return _float_bound(d, n, lambda scale: scale * (3 + log_h) + log_a)
 
 
 def count_primitive_primes(
     d: int,
     c,
     n: int,
-    trial_limit: int = 10**6,
-    rho_iterations: int = 200_000,
+    trial_limit: int = _DEFAULT_TRIAL_LIMIT,
+    rho_iterations: int = _DEFAULT_RHO_BUDGET,
 ) -> tuple[int, bool]:
     """Count primitive prime divisors of a_n by factoring it.
 
@@ -274,10 +298,10 @@ def _prime_factors(x: int) -> Iterator[int]:
     the rest, which all exceed them.  Rho only below ~120 digits (it cannot
     split numbers that size anyway, and each iteration costs a full-width
     modular square)."""
-    counts, rest = _trial_divide(x, 10**6)
+    counts, rest = _trial_divide(x, _DEFAULT_TRIAL_LIMIT)
     yield from counts
     if rest > 1:
-        rho = 200_000 if x < 10**120 else 0
+        rho = _DEFAULT_RHO_BUDGET if x < 10**120 else 0
         yield from factorize(rest, trial_limit=1, rho_iterations=rho).primes()
 
 

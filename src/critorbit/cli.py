@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .arith import Residue, factorize, set_random_seed
+from .arith import _DEFAULT_RHO_BUDGET, Residue, factorize, set_random_seed
 from .bounds import (
     _DEFAULT_PRIME_SCAN_BUDGET,
     MaximalityCertificate,
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--threads", type=int, default=1)
     add("bound", _cmd_bound, "d n c", "upper bound on the primitive-prime count")
     cmd = add("rho", _cmd_rho, "d c n", "count primitive primes by factoring a_n")
-    cmd.add_argument("--budget", type=int, default=200_000)
+    cmd.add_argument("--budget", type=int, default=_DEFAULT_RHO_BUDGET)
 
     cmd = add("certify", _cmd_certify, "", "Galois-maximality witness certificate")
     cmd.add_argument("--d", type=int, default=None)
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--check", default=None, help="re-verify a certificate JSON file")
 
     cmd = add("factor", _cmd_factor, "x", "bounded integer factorization")
-    cmd.add_argument("--budget", type=int, default=200_000)
+    cmd.add_argument("--budget", type=int, default=_DEFAULT_RHO_BUDGET)
     return parser
 
 

@@ -48,14 +48,14 @@ _BATCH_LIMIT = 2**14  # primes below this share one product of G(c)
 
 
 def fpp_symmetric(degree: int) -> Fraction:
-    """Fraction of S_D permutations fixing at least one point:
-    sum_{i=1..D} (-1)^(i+1) / i!."""
+    """Fraction of S_D permutations fixing at least one point: (D! - !D) / D!,
+    with the derangement count !k = k !(k-1) + (-1)^k and !0 = 1."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    total = Fraction(0)
-    for i in range(1, degree + 1):
-        total += Fraction((-1) ** (i + 1), factorial(i))
-    return total
+    derangements = 1
+    for k in range(1, degree + 1):
+        derangements = k * derangements + (-1) ** k
+    return 1 - Fraction(derangements, factorial(degree))
 
 
 def density_lower_bound(d: int, n: int) -> Fraction:

@@ -1,13 +1,13 @@
 """Exact polynomials in the parameter c.
 
 The n-th critical value f^n(0) of x^d + c is an integer polynomial in c of
-degree d^(n-1); its Moebius quotients are the Gleason polynomials
+degree d^(n-1), the product of the Gleason polynomials of the divisors of n:
 
-    G_{d,n}(c) = prod_{t|n} (f^t(0))^{mu(n/t)},
+    f^n(0) = prod_{m|n} G_{d,m}(c),
 
-whose roots mod p are exactly the parameters with critically periodic orbit
-of exact period n.  Iterate and Gleason polynomials are memoized per (d, n);
-the cache is safe for concurrent reads.
+so G_{d,n} is f^n(0) divided exactly by G_{d,m} for each proper divisor m;
+its roots mod p are the parameters whose critical orbit has exact period n.
+The polynomials are memoized per (d, n); the cache is safe for concurrent reads.
 
 Resultants are computed by Euclid modulo products of four 61-bit primes,
 combined by CRT until the modulus passes twice a bound on the result:
@@ -23,8 +23,8 @@ from functools import lru_cache
 from itertools import count
 from math import isqrt
 
-from .arith import _rng, crt, is_prime, moebius
-from .errors import InternalConsistencyError, SizeGuardError
+from .arith import _guard_power, _rng, crt, is_prime
+from .errors import InternalConsistencyError
 
 _DEGREE_GUARD = 1 << 14
 _GLEASON_FEASIBLE_DEGREE = 2048  # largest Gleason polynomial worth building
@@ -137,11 +137,8 @@ def iterate_poly(d: int, n: int) -> IntPoly:
     """f^n(0) as an element of Z[c], by repeated substitution x -> x^d + c."""
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    if d ** (n - 1) > _DEGREE_GUARD:
-        raise SizeGuardError(
-            f"iterate polynomial degree {d}^{n - 1} exceeds guard {_DEGREE_GUARD}",
-            d ** (n - 1),
-        )
+    _guard_power(d, n - 1, _DEGREE_GUARD,
+                 f"iterate polynomial degree {d}^{n - 1} exceeds guard {_DEGREE_GUARD}")
     if n == 1:
         return IntPoly([0, 1])
     prev = iterate_poly(d, n - 1)
@@ -153,19 +150,13 @@ def iterate_poly(d: int, n: int) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def gleason_poly(d: int, n: int) -> IntPoly:
-    """The Moebius quotient prod_{t|n} (f^t(0))^{mu(n/t)}, divided exactly."""
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
-    numerator = IntPoly([1])
-    denominator = IntPoly([1])
-    for t in range(1, n + 1):
-        if n % t == 0:
-            mu = moebius(n // t)
-            if mu == 1:
-                numerator = numerator * iterate_poly(d, t)
-            elif mu == -1:
-                denominator = denominator * iterate_poly(d, t)
-    return numerator.divexact(denominator)
+    """f^n(0) divided exactly by G_{d,m} for each proper divisor m of n.
+
+    f^n(0) comes first: it checks d, n and the degree guard."""
+    poly = iterate_poly(d, n)
+    for m in _proper_divisors(n):
+        poly = poly.divexact(gleason_poly(d, m))
+    return poly
 
 
 @lru_cache(maxsize=None)
@@ -174,11 +165,18 @@ def gleason_discriminant(d: int, n: int) -> int:
     return discriminant(gleason_poly(d, n))
 
 
+@lru_cache(maxsize=None)
 def gleason_degree(d: int, n: int) -> int:
-    """deg G_{d,n} = sum over m|n of mu(n/m) d^(m-1), without building the polynomial."""
+    """deg G_{d,n} = d^(n-1) minus deg G_{d,m} for each proper divisor m of n,
+    without building the polynomial."""
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    return sum(moebius(n // m) * d ** (m - 1) for m in range(1, n + 1) if n % m == 0)
+    return d ** (n - 1) - sum(gleason_degree(d, m) for m in _proper_divisors(n))
+
+
+def _proper_divisors(n: int) -> set[int]:
+    """The divisors of n >= 1 below n, found in pairs (k, n/k) with k <= sqrt(n)."""
+    return {m for k in range(1, isqrt(n) + 1) if n % k == 0 for m in (k, n // k)} - {n}
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,16 @@ wheel one candidate at a time, and first zeros of the critical orbit by a
 visited set or by Floyd's tortoise and hare.  Two keep the package's earlier
 hand-written prime loops: a next-prime walk over odd candidates, and the
 witness search that ran the primes of a_n and then a scan of every prime, as
-two loops, for one iterate at a time.
+two loops, for one iterate at a time.  Three keep earlier formulas: Gleason
+polynomials and their degrees as Moebius quotients over every t in 1..n, and
+the fixed-point proportion of S_D as a sum of D fractions.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 
-from critorbit import LiftResult, MaximalityCertificate, Residue
-from critorbit.arith import is_prime
+from critorbit import IntPoly, LiftResult, MaximalityCertificate, Residue, iterate_poly
+from critorbit.arith import is_prime, moebius
 from critorbit.bounds import _FACTOR_DIGIT_GUARD, _entry_for, _prime_factors
 from critorbit.errors import SizeGuardError
 from critorbit.orbit import exact_iterate
@@ -282,3 +284,30 @@ def per_iterate_certificate(
         missing=tuple(missing),
         neg_c_is_square=-c >= 0 and isqrt(-c) ** 2 == -c if d == 2 else None,
     )
+
+
+def moebius_gleason_poly(d: int, n: int) -> IntPoly:
+    """The Moebius quotient prod_{t|n} (f^t(0))^{mu(n/t)}, divided exactly."""
+    numerator = IntPoly([1])
+    denominator = IntPoly([1])
+    for t in range(1, n + 1):
+        if n % t == 0:
+            mu = moebius(n // t)
+            if mu == 1:
+                numerator = numerator * iterate_poly(d, t)
+            elif mu == -1:
+                denominator = denominator * iterate_poly(d, t)
+    return numerator.divexact(denominator)
+
+
+def moebius_gleason_degree(d: int, n: int) -> int:
+    """sum over m|n of mu(n/m) d^(m-1)."""
+    return sum(moebius(n // m) * d ** (m - 1) for m in range(1, n + 1) if n % m == 0)
+
+
+def fraction_sum_fpp(degree: int) -> Fraction:
+    """sum_{i=1..D} (-1)^(i+1) / i!, one Fraction at a time."""
+    total = Fraction(0)
+    for i in range(1, degree + 1):
+        total += Fraction((-1) ** (i + 1), factorial(i))
+    return total

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from critorbit import arith
 from critorbit import (
     Factorization,
     Residue,
+    SizeGuardError,
     crt,
     factorize,
     is_prime,
@@ -346,6 +348,18 @@ class TestResidue:
         assert r.value == 116
         assert r.modulus == 125
 
+    @pytest.mark.parametrize("p,t,message", [
+        (0, 1, "0 is not prime"),  # x % 0^1 once raised ZeroDivisionError
+        (-5, 1, "-5 is not prime"),
+        (0, 0, "exponent t must be >= 1"),
+        (5, -1, "exponent t must be >= 1"),
+    ])
+    def test_reduce_checks_the_ring_first(self, p, t, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Residue.reduce(3, p, t)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Residue(p, t, 0)
+
     def test_ring_ops(self):
         a = Residue(5, 2, 7)
         b = Residue(5, 2, 21)
@@ -357,3 +371,22 @@ class TestResidue:
     def test_mixed_rings_rejected(self):
         with pytest.raises(ValueError):
             Residue(5, 2, 7) + Residue(5, 3, 7)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4096, 1 << 14, 2**1024])
+def test_guard_power_refuses_exactly_the_powers_above_the_limit(limit):
+    for base, exponent in itertools.product(range(2, 20), range(20)):
+        if base**exponent <= limit:
+            assert arith._guard_power(base, exponent, limit, "refused") == base**exponent
+            continue
+        with pytest.raises(SizeGuardError, match="^refused$") as info:
+            arith._guard_power(base, exponent, limit, "refused")
+        assert info.value.estimated_digits == len(str(base**exponent))
+
+
+@pytest.mark.parametrize("base,exponent", [(3, 10**18), (2, 10**18), (10**100, 10**15)])
+def test_guard_power_refuses_from_bit_lengths_without_building_the_power(base, exponent):
+    # each power has at least 10^15 bits: building it would not finish
+    with pytest.raises(SizeGuardError) as info:
+        arith._guard_power(base, exponent, 1 << 14, "refused")
+    assert info.value.estimated_digits == int(exponent * math.log10(base)) + 1

@@ -11,6 +11,7 @@ from critorbit import (
     CertificateEntry,
     MaximalityCertificate,
     RationalParam,
+    SizeGuardError,
     count_primitive_primes,
     exact_iterate,
     factorize,
@@ -86,6 +87,25 @@ class TestRhoUpperBound:
         # bit-length fallback keeps log2 finite for giant parameters
         value = rho_upper_bound(2, 2, 10**500 + 7)
         assert value == pytest.approx(2 * (1 + 500 * math.log2(10)), rel=1e-3)
+
+    @pytest.mark.parametrize("bound", [rho_upper_bound, rho_upper_bound_general])
+    @pytest.mark.parametrize("d,n,c", [
+        (2, 1025, 1),  # 2^1024 passes the float range: once an OverflowError
+        (2, 1024, 3),  # 2^1023 * (1 + log2 3) is infinite: once printed as Infinity
+        (3, 10**8, 1),  # 3^(10^8 - 1) was built exactly, and never finished
+        (3, 10**18, RationalParam(-7, 3)),
+    ])
+    def test_bounds_beyond_the_float_range_are_refused(self, bound, d, n, c):
+        with pytest.raises(SizeGuardError, match=rf"^upper bound at scale {d}\^{n - 1} exceeds"):
+            bound(d, n, c)
+
+    @pytest.mark.parametrize("bound", [rho_upper_bound, rho_upper_bound_general])
+    @pytest.mark.parametrize("d,n", [(1, 5), (0, 3), (-3, 10**6), (2, 0)])
+    def test_degree_below_two_or_index_below_one_is_rejected(self, bound, d, n):
+        # the general bound once answered d = 1 and n = 0, and at d = -3 the
+        # size test's log10 raised "math domain error"
+        with pytest.raises(ValueError, match="^need d >= 2 and n >= 1$"):
+            bound(d, n, 3)
 
 
 class TestCountPrimitivePrimes:
@@ -334,7 +354,7 @@ def test_witness_search_sizes_a_n_under_the_default_int_to_str_limit(monkeypatch
     finally:
         sys.set_int_max_str_digits(saved)
     # rho only below 120 digits: none for a_14, the full budget for a_3 = 147
-    assert budgets == [0, 200_000]
+    assert budgets == [0, arith._DEFAULT_RHO_BUDGET]
 
 
 def test_witness_search_skips_rho_when_a_trial_prime_is_a_witness(monkeypatch):
@@ -456,8 +476,8 @@ def test_trial_prime_count_is_pi_of_the_trial_limit(monkeypatch):
     monkeypatch.setattr(bounds, "_trial_divide",
                         lambda x, limit: limits.append(limit) or real(x, limit))
     assert list(bounds._prime_factors(6)) == [2, 3]
-    assert limits == [10**6]
-    assert bounds._TRIAL_PRIME_COUNT == len(arith.primes_up_to(limits[0]))
+    assert limits == [arith._DEFAULT_TRIAL_LIMIT]
+    assert bounds._TRIAL_PRIME_COUNT == len(arith.primes_up_to(arith._DEFAULT_TRIAL_LIMIT))
 
 
 @pytest.mark.parametrize("c,m", [(3, 8), (11, 8), (3, 3), (1, 1)])

@@ -594,6 +594,32 @@ def test_huge_iterate_index_answers_from_the_rank(argv, payload):
     assert {key: got[key] for key in payload} == payload
 
 
+@pytest.mark.parametrize("argv,error", [
+    ("gleason --d 3 --n 1000000007", "iterate polynomial degree 3^1000000006 exceeds guard 16384"),
+    ("disc --d 3 --n 1000000007", "iterate polynomial degree 3^1000000006 exceeds guard 16384"),
+    ("roots --d 3 --n 1000000007 --p 13",
+     "iterate polynomial degree 3^1000000006 exceeds guard 16384"),
+    # the Moebius loop once refused at its first divisor past the guard, 16
+    ("gleason --d 2 --n 32", "iterate polynomial degree 2^31 exceeds guard 16384"),
+    ("orbit --d 2 --p 0 --t 1 --c 3", "0 is not prime"),  # once a ZeroDivisionError
+    ("orbit --d 2 --p -5 --t 1 --c 3", "-5 is not prime"),
+    # an OverflowError, an infinite bound printed as Infinity, and 3^(10^8 - 1)
+    # built exactly, before the bound refused what passes the float range
+    ("bound --d 2 --n 1025 --c 1", "upper bound at scale 2^1024 exceeds the float range"),
+    ("bound --d 2 --n 1024 --c 3", "upper bound at scale 2^1023 exceeds the float range"),
+    ("bound --d 3 --n 100000000 --c 1",
+     "upper bound at scale 3^99999999 exceeds the float range"),
+])
+def test_oversized_or_invalid_input_is_refused_at_once(argv, error):
+    # all but the --p -5 and --n 32 rows were killed by a timeout of 8 s,
+    # ended in a traceback or printed Infinity
+    started = time.perf_counter()
+    proc = _run_cli_process(argv.split(), timeout=60)
+    assert time.perf_counter() - started < 30
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert json.loads(proc.stdout) == {"status": "invalid-input", "payload": {"error": error}}
+
+
 _ANY = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)

@@ -21,6 +21,7 @@ from critorbit import (
 from critorbit import density
 from critorbit.density import CONDITIONAL_NOTE, density_scan_rows
 from critorbit.gleason import IntPoly, gleason_discriminant, gleason_poly, has_root_mod_p
+from oracles import fraction_sum_fpp
 
 _BATCH_PRIMES = primes_up_to(density._BATCH_LIMIT)
 
@@ -54,6 +55,15 @@ class TestFppSymmetric:
         proxy = fpp_symmetric(40)
         errors = [abs(fpp_symmetric(k) - proxy) for k in range(1, 20)]
         assert all(a > b for a, b in zip(errors, errors[1:]))
+
+    def test_matches_the_sum_of_fractions(self):
+        for degree in [*range(1, 41), 63, 100, 255, 300]:
+            assert fpp_symmetric(degree) == fraction_sum_fpp(degree), degree
+
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_degree_below_one_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            fpp_symmetric(degree)
 
 
 class TestLowerBound:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import prod
 
 import pytest
@@ -34,7 +35,16 @@ from critorbit.gleason import (
     _xshift_pow,
 )
 
-from oracles import brute_roots, sylvester_discriminant, sylvester_resultant
+from oracles import (
+    brute_roots,
+    moebius_gleason_degree,
+    moebius_gleason_poly,
+    sylvester_discriminant,
+    sylvester_resultant,
+)
+
+# every (d, n) with d <= 7 and d^(n-1) <= 2^12
+_SMALL_GLEASON = [(d, n) for d in range(2, 8) for n in range(1, 14) if d ** (n - 1) <= 1 << 12]
 
 
 class TestIntPoly:
@@ -121,6 +131,31 @@ class TestGleasonPoly:
         assert gleason_degree(2, 3) == 3
         assert gleason_degree(3, 3) == 8
         assert gleason_degree(2, 6) == 27
+
+    @pytest.mark.parametrize("d,n", _SMALL_GLEASON)
+    def test_matches_the_moebius_quotient(self, d, n):
+        assert gleason_poly(d, n) == moebius_gleason_poly(d, n)
+
+    def test_degree_matches_the_moebius_sum(self):
+        for d in range(2, 6):
+            for n in range(1, 61):
+                assert gleason_degree(d, n) == moebius_gleason_degree(d, n), (d, n)
+
+    @pytest.mark.parametrize("d,n,power", [
+        (3, 10**9 + 7, "3^1000000006"),
+        (2, 32, "2^31"),  # the first refused divisor, 16, named 2^15 once
+        (2, 16, "2^15"),
+        (10**30, 2, "1000000000000000000000000000000^1"),
+    ])
+    def test_refusal_comes_before_any_product_or_divisor_walk(self, monkeypatch, d, n, power):
+        def refuse(*args):
+            raise AssertionError("built before the size test")
+
+        monkeypatch.setattr(IntPoly, "__mul__", refuse)
+        monkeypatch.setattr(IntPoly, "divexact", refuse)
+        monkeypatch.setattr(gleason, "_proper_divisors", refuse)
+        with pytest.raises(SizeGuardError, match=rf"{re.escape(power)} exceeds guard 16384$"):
+            gleason_poly(d, n)
 
 
 class TestResultantAndDiscriminant:

@@ -91,12 +91,17 @@ byte (key order, number formatting, an answer) fails here:
   finds their witnesses 7 and 13) and ``certify --d 2 --c 3 --m 3 --budget
   80000`` (a budget past the 78,498 primes up to 10^6 with every a_n
   computed: the scan meets 7, of rank 3 with nu_7(a_3) = 2, and runs to
-  its end).
+  its end);
+- recorded before ``bound`` refused a d^(n-1) beyond the float range:
+  ``bound --d 2 --n 1024 --c 1`` (2^1023 - 1 = 8.98846567431158e+307, at
+  the last n whose bound is finite at d = 2, c = 1) and ``bound --d 2 --n
+  1000 --c 3``.
 
 Together the cases cover all 18 subcommands, exit codes 0, 1 and 2,
 ``density --csv``, ``certify --check``, rational parameters, root splitting
 at primes from 2 to above 10^6 and density scans whose primes from 2^14 up
-run in two worker processes.
+run in two worker processes.  Every stdout but the CSV ones must also parse
+as JSON with no ``NaN`` or ``Infinity``, which RFC 8259 does not allow.
 
 Exit code 3 (``exhausted``) is not covered here.  Two CLI paths raise
 ``SearchExhaustedError``: the automatic prime search of ``construct``, which
@@ -486,6 +491,12 @@ CASES = [
      "de69e2eacf9b3f66766cfafee8cbc4ed5a282c2339bee17a4807fb844312ab78"),
     ("certify-scan-past-trial-limit", "certify --d 2 --c 3 --m 3 --budget 80000", 1,
      "3545e8f25177d15306630bf3a86cda0d83dc54d7ed1e9022e76684914a63c3d9"),
+    # bounds near the top of the float range: 2^1023 - 1 at c = 1, the last
+    # n whose bound is finite at d = 2, and one at d^(n-1) = 2^999
+    ("bound-float-edge", "bound --d 2 --n 1024 --c 1", 0,
+     "6569b393b92d296e1ae8101e29c191a37a834ce42a1415756b253101817edd68"),
+    ("bound-large-scale", "bound --d 2 --n 1000 --c 3", 0,
+     "0b24754f3fd949ed59cdd944d139cf2fde7102f7a3abccd0fa2c1cbed6e200c2"),
 ]
 
 
@@ -516,6 +527,12 @@ def test_golden_output(command, code, digest, corpus_dir, capsys):
     got_code = main(_argv(command, corpus_dir))
     out = capsys.readouterr().out
     assert (got_code, _sha(out)) == (code, digest)
+    if "--csv" not in command:  # JSON by RFC 8259: no NaN and no Infinity
+        json.loads(out, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def test_corpus_covers_every_subcommand_and_exit_code():

@@ -14,7 +14,7 @@ reseed with :func:`set_random_seed`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count
 from math import gcd, isqrt, log10
 
@@ -173,28 +173,34 @@ def moebius(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class Factorization:
+def _record(name: str, fields: str) -> type:
+    """A namedtuple base whose ``_make``, and so ``_replace``, builds through
+    the subclass's ``__new__``, which checks the fields."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class Factorization(_record("Factorization", "factors cofactor complete")):
     """Possibly-partial factorization: prod p^e times cofactor equals the input.
 
     ``complete`` is True exactly when the cofactor is 1.  The primes are
     strictly increasing and each passes a primality check.
     """
 
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int
-    complete: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        primes = [p for p, _ in self.factors]
+    def __new__(cls, factors: tuple[tuple[int, int], ...], cofactor: int, complete: bool):
+        primes = [p for p, _ in factors]
         if primes != sorted(set(primes)):
             raise ValueError("factor primes must be strictly increasing")
         if any(not is_prime(p) for p in primes):
             raise ValueError("every listed factor must be prime")
-        if any(e < 1 for _, e in self.factors):
+        if any(e < 1 for _, e in factors):
             raise ValueError("factor exponents must be positive")
-        if self.complete != (self.cofactor == 1):
+        if complete != (cofactor == 1):
             raise ValueError("complete flag inconsistent with cofactor")
+        return super().__new__(cls, factors, cofactor, complete)
 
     @property
     def value(self) -> int:
@@ -308,24 +314,22 @@ def factorize(
     )
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(_record("Residue", "p t value")):
     """An element of Z/p^t with the prime and exponent carried explicitly.
 
     Values are stored fully reduced into [0, p^t); arithmetic reduces eagerly.
     """
 
-    p: int
-    t: int
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t < 1:
+    def __new__(cls, p: int, t: int, value: int):
+        if t < 1:
             raise ValueError("exponent t must be >= 1")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if not 0 <= self.value < self.p**self.t:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if not 0 <= value < p**t:
             raise ValueError("value out of range [0, p^t)")
+        return super().__new__(cls, p, t, value)
 
     @classmethod
     def reduce(cls, x: int, p: int, t: int) -> "Residue":
@@ -351,6 +355,9 @@ class Residue:
     def __mul__(self, other: "Residue") -> "Residue":
         self._check_ring(other)
         return Residue(self.p, self.t, self.value * other.value % self.modulus)
+
+    def __rmul__(self, other):  # not the tuple's repetition
+        raise TypeError(f"unsupported operand types for *: {type(other).__name__} and Residue")
 
     def pow(self, e: int) -> "Residue":
         return Residue(self.p, self.t, pow(self.value, e, self.modulus))

@@ -18,15 +18,16 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import chain, count, islice
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import (
     _DEFAULT_RHO_BUDGET,
     _DEFAULT_TRIAL_LIMIT,
     _TRIAL_PRIME_COUNT,
     _guard_power,
+    _record,
     _trial_divide,
     factorize,
     is_prime,
@@ -162,8 +163,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
+class CertificateEntry(NamedTuple):
     """Witness prime for one iterate: valid iff primitive, nu coprime to d,
     and p does not divide d."""
 
@@ -196,18 +196,20 @@ class CertificateEntry:
         }
 
 
-@dataclass(frozen=True)
-class MaximalityCertificate:
-    d: int
-    c: int
-    m: int
-    entries: tuple[CertificateEntry, ...]
-    missing: tuple[int, ...]  # iterates with no witness found within budget
-    neg_c_is_square: bool | None  # d = 2 irreducibility note; None for d > 2
+class MaximalityCertificate(
+    _record("MaximalityCertificate", "d c m entries missing neg_c_is_square")
+):
+    """Witnesses for iterates 1..m; ``missing`` lists the iterates with no
+    witness found within budget, and ``neg_c_is_square`` is the d = 2
+    irreducibility note, None for d > 2."""
 
-    def __post_init__(self):
-        if self.d < 2:
+    __slots__ = ()
+
+    def __new__(cls, d: int, c: int, m: int, entries: tuple[CertificateEntry, ...],
+                missing: tuple[int, ...], neg_c_is_square: bool | None):
+        if d < 2:
             raise ValueError("degree must be >= 2")
+        return super().__new__(cls, d, c, m, entries, missing, neg_c_is_square)
 
     @property
     def complete(self) -> bool:

@@ -20,7 +20,6 @@ to per-prime CSV rows.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
@@ -385,6 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     status, payload = outcome
     doc = {"status": status, "payload": payload}
     if getattr(args, "meta", False):
+        import datetime  # only here: no other run pays its import
+
         doc["meta"] = {
             "version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -17,9 +17,9 @@ deg G <= 128; above that, only the simple-root test screens a base.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arith import crt, is_prime
+from .arith import _record, crt, is_prime
 from .errors import (
     DiscObstructionError,
     InternalConsistencyError,
@@ -42,40 +42,37 @@ _PRIME_SCAN_CEILING = 10**6
 _DISC_SCREEN_DEGREE = 128
 
 
-@dataclass(frozen=True)
-class PrimePowerConstraint:
+class PrimePowerConstraint(_record("PrimePowerConstraint", "n k p")):
     """Require nu_p(f^n(0)) = k exactly with p primitive at n.
 
     ``p=None`` asks the builder to choose the prime.
     """
 
-    n: int
-    k: int
-    p: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
+    def __new__(cls, n: int, k: int, p: int | None = None):
+        if n < 1 or k < 1:
             raise ValueError("need n >= 1 and k >= 1")
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        if p is not None and not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, n, k, p)
 
 
-@dataclass(frozen=True)
-class DivisibilitySpec:
-    d: int
-    constraints: tuple[PrimePowerConstraint, ...]
-    excluded_primes: frozenset[int] = frozenset()
+class DivisibilitySpec(_record("DivisibilitySpec", "d constraints excluded_primes")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
+    def __new__(cls, d: int, constraints: tuple[PrimePowerConstraint, ...],
+                excluded_primes: frozenset[int] = frozenset()):
+        if d < 2:
             raise ValueError("degree must be >= 2")
-        if not self.constraints:
+        if not constraints:
             raise ValueError("spec needs at least one constraint")
-        pinned = [c.p for c in self.constraints if c.p is not None]
+        pinned = [c.p for c in constraints if c.p is not None]
         if len(pinned) != len(set(pinned)):
             raise ValueError("pinned primes must be pairwise distinct")
-        if any(p in self.excluded_primes for p in pinned):
+        if any(p in excluded_primes for p in pinned):
             raise ValueError("a pinned prime appears in the excluded set")
+        return super().__new__(cls, d, constraints, excluded_primes)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DivisibilitySpec":
@@ -111,8 +108,7 @@ class DivisibilitySpec:
         }
 
 
-@dataclass(frozen=True)
-class ConstraintRecord:
+class ConstraintRecord(NamedTuple):
     n: int
     p: int
     k: int
@@ -133,8 +129,7 @@ class ConstraintRecord:
         }
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     d: int
     c: int
     records: tuple[ConstraintRecord, ...]
@@ -258,8 +253,7 @@ def build_parameter(spec: DivisibilitySpec) -> ConstructionReport:
     return ConstructionReport(d=d, c=c, records=tuple(records))
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
+class ConstraintCheck(NamedTuple):
     n: int
     p: int
     k: int

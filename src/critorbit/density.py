@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial, prod
@@ -196,8 +195,7 @@ def density_scan_rows(d: int, n: int, limit: int) -> list[tuple[int, bool]]:
     return [(p, hit) for p, hit in _scan(d, n, _primes(limit)) if hit is not None]
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     d: int
     n: int
     degree: int
@@ -233,6 +231,12 @@ class DensityReport:
 
 
 def density_report(d: int, n: int, limit: int, jobs: int = 1) -> DensityReport:
+    """The scan comes first: it checks jobs and limit, then builds G, so
+    f^n(0)'s degree guard refuses a G too large to build before the exact
+    degree d^(n-1) and D! are computed."""
+    if d < 2 or n < 1:  # a bad d or n is reported before a bad jobs or limit
+        raise ValueError("need d >= 2 and n >= 1")
+    empirical = empirical_density(d, n, limit, jobs=jobs)
     degree = gleason_degree(d, n)
     return DensityReport(
         d=d,
@@ -241,7 +245,7 @@ def density_report(d: int, n: int, limit: int, jobs: int = 1) -> DensityReport:
         conditional_density=fpp_symmetric(degree),
         conditional_note=CONDITIONAL_NOTE,
         lower_bound=density_lower_bound(d, n),
-        empirical=empirical_density(d, n, limit, jobs=jobs),
+        empirical=empirical,
         error_bound_vs_limit=(
             limit_error_bound(n).bound if d == 2 and n >= 2 else None
         ),

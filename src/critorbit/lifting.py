@@ -21,8 +21,8 @@ n-th orbit value carries p to the exact power r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .arith import Residue, is_prime, val_p
 from .errors import HenselHypothesisError, InternalConsistencyError, SearchExhaustedError
@@ -45,8 +45,7 @@ _NEWTON_SLACK = 4
 _LIFT_WORK_LIMIT = 10**12
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(NamedTuple):
     """A converged lift: f^n(0) = 0 mod p^precision at ``lifted_value``."""
 
     d: int

@@ -32,13 +32,12 @@ before the growth starts, or in the attracting case one walk of the tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
 from typing import NamedTuple
 
-from .arith import Residue, is_prime, val_p
-from .errors import SearchExhaustedError, SizeGuardError, ZeroIterateError
+from .arith import Residue, _guard_power, _record, is_prime, val_p
+from .errors import SearchExhaustedError, ZeroIterateError
 
 # the detector serves F_p and level-1 walks: it switches to Brent's constant
 # memory cycle detection after this many stored points
@@ -51,30 +50,28 @@ _DEFAULT_DIGIT_GUARD = 2_000_000
 _RANK_WALK_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class PeriodType:
+class PeriodType(_record("PeriodType", "tail period")):
     """Tail length and exact period of a preperiodic orbit; tail 0 = periodic."""
 
-    tail: int
-    period: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tail < 0 or self.period < 1:
+    def __new__(cls, tail: int, period: int):
+        if tail < 0 or period < 1:
             raise ValueError("need tail >= 0 and period >= 1")
+        return super().__new__(cls, tail, period)
 
 
-@dataclass(frozen=True)
-class RationalParam:
+class RationalParam(_record("RationalParam", "a b")):
     """A parameter c = a/b in lowest terms with b >= 1."""
 
-    a: int
-    b: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b < 1:
+    def __new__(cls, a: int, b: int = 1):
+        if b < 1:
             raise ValueError("denominator must be positive")
-        if gcd(self.a, self.b) != 1:
+        if gcd(a, b) != 1:
             raise ValueError("a/b must be in lowest terms")
+        return super().__new__(cls, a, b)
 
     @classmethod
     def from_string(cls, text: str) -> "RationalParam":
@@ -105,8 +102,7 @@ class RationalParam:
         return str(self.a) if self.b == 1 else f"{self.a}/{self.b}"
 
 
-@dataclass(frozen=True)
-class OrbitClassification:
+class OrbitClassification(NamedTuple):
     """Integer parameters split into the three finite-orbit families and the rest."""
 
     kind: str  # "PCF-integer" | "presumed-wandering"
@@ -413,25 +409,26 @@ def exact_iterate(
     """Exact numerator a_n and the denominator exponent d^(n-1).
 
     Refuses (with a size estimate) when a_n would exceed the digit guard:
-    a_n has roughly d^(n-1) * digits(h(c)) digits.
+    a_n has roughly d^(n-1) * digits(h(c)) digits.  The refusal is decided
+    from bit lengths, and names the estimate exactly only while it is short.
     """
     param = RationalParam.of(c)
     if d < 2:
         raise ValueError("degree must be >= 2")
     if n < 1:
         raise ValueError("iterate index must be >= 1")
-    height = max(abs(param.a), param.b, 2)
-    estimated = d ** (n - 1) * (len(str(height)) + 1)
-    if estimated > digit_guard:
-        raise SizeGuardError(
-            f"a_{n} would have ~{estimated} digits (guard {digit_guard})", estimated
-        )
+    scale = len(str(max(abs(param.a), param.b, 2))) + 1
+    short = (n - 1) * d.bit_length() <= 128  # print a longer estimate as a power
+    estimated = d ** (n - 1) * scale if short else f"{scale}*{d}^{n - 1}"
+    denominator_exponent = _guard_power(
+        d, n - 1, digit_guard // scale,
+        f"a_{n} would have ~{estimated} digits (guard {digit_guard})")
     x = param.a
     exponent = d
     for _ in range(n - 1):
         x = x**d + param.a * param.b ** (exponent - 1)
         exponent *= d
-    return x, d ** (n - 1)
+    return x, denominator_exponent
 
 
 def multiplier_mod_p(d: int, c: int, r: int, p: int) -> tuple[PeriodType, int]:

@@ -23,8 +23,8 @@ derivative walk at the bases found, taken where a check asks for it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .arith import Residue, is_prime
 from .errors import HenselHypothesisError
@@ -32,19 +32,23 @@ from .lifting import LiftResult, hensel_lift
 from .orbit import PeriodType, _derivative_walk, _first_zero, _return_walk, period_type_mod
 
 
-@dataclass
 class PcfCensus:
-    """Period type of 0 for every c in F_p, split by periodic vs preperiodic."""
+    """Period type of 0 for every c in F_p, split by periodic vs preperiodic;
+    equal censuses have the same d, p and splits, whatever their verdicts."""
 
-    d: int
-    p: int
-    periodic: dict[int, PeriodType] = field(default_factory=dict)
-    preperiodic: dict[int, PeriodType] = field(default_factory=dict)
-    # whether c is a simple root of f^n(0), for the periodic c whose walk
-    # carried the derivative (the permutation case)
-    _simple_roots: dict[int, bool] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, d: int, p: int):
+        self.d, self.p = d, p
+        self.periodic: dict[int, PeriodType] = {}
+        self.preperiodic: dict[int, PeriodType] = {}
+        # whether c is a simple root of f^n(0), for the periodic c whose walk
+        # carried the derivative (the permutation case)
+        self._simple_roots: dict[int, bool] = {}
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PcfCensus:
+            return NotImplemented
+        return (self.d, self.p, self.periodic, self.preperiodic) == (
+            other.d, other.p, other.periodic, other.preperiodic)
 
     @property
     def periodic_count_by_period(self) -> dict[int, int]:
@@ -186,8 +190,7 @@ def _star_star_failures(
             yield c, ptype.period
 
 
-@dataclass(frozen=True)
-class CorrespondenceEntry:
+class CorrespondenceEntry(NamedTuple):
     base_c: int
     period: int
     lift: LiftResult | None
@@ -202,8 +205,7 @@ class CorrespondenceEntry:
         }
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     d: int
     p: int
     precision: int

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import sys
@@ -271,30 +270,28 @@ class TestMaximalityCertificate:
     def test_verify_rejects_raised_m(self):
         cert = maximality_certificate(2, 5, 3)
         assert verify_certificate(cert)
-        raised = dataclasses.replace(cert, m=12)
+        raised = cert._replace(m=12)
         assert not raised.complete
         assert raised.to_json_dict()["claimed_order"] is None
         assert not verify_certificate(raised)
 
     def test_verify_rejects_duplicated_iterate(self):
         cert = maximality_certificate(2, 5, 2)
-        doubled = dataclasses.replace(
-            cert, m=3, entries=cert.entries + (cert.entries[1],)
-        )
+        doubled = cert._replace(m=3, entries=cert.entries + (cert.entries[1],))
         assert all(e.valid for e in doubled.entries)
         assert not doubled.complete
         assert not verify_certificate(doubled)
 
     def test_verify_rejects_iterate_beyond_m(self):
         cert = maximality_certificate(2, 5, 2)
-        lowered = dataclasses.replace(cert, m=1)
+        lowered = cert._replace(m=1)
         assert not lowered.complete
         assert not verify_certificate(lowered)
 
     def test_verify_rejects_wrong_square_note(self):
         cert = maximality_certificate(2, 5, 2)
-        assert not verify_certificate(dataclasses.replace(cert, neg_c_is_square=True))
-        assert not verify_certificate(dataclasses.replace(cert, neg_c_is_square=None))
+        assert not verify_certificate(cert._replace(neg_c_is_square=True))
+        assert not verify_certificate(cert._replace(neg_c_is_square=None))
 
     def test_missing_recorded_not_raised(self):
         # a_1 = 4 = 2^2: only prime divides d; a gap is recorded

@@ -620,6 +620,36 @@ def test_oversized_or_invalid_input_is_refused_at_once(argv, error):
     assert json.loads(proc.stdout) == {"status": "invalid-input", "payload": {"error": error}}
 
 
+@pytest.mark.parametrize("argv,error", [
+    # a_n's estimate once came from d^(n-1) built exactly: 1.8 s and a
+    # 301,143-byte message at n = 10^6, and no answer at n = 10^8
+    ("rho --d 2 --c 1 --n 1000000", "a_1000000 would have ~2*2^999999 digits (guard 2000000)"),
+    ("rho --d 2 --c 1 --n 100000000",
+     "a_100000000 would have ~2*2^99999999 digits (guard 2000000)"),
+    # density once took D = deg G exactly, and D!, before the scan built G
+    ("density --d 3 --n 1000 --limit 100", "iterate polynomial degree 3^999 exceeds guard 16384"),
+    ("density --d 3 --n 1000000007 --limit 100",
+     "iterate polynomial degree 3^1000000006 exceeds guard 16384"),
+])
+def test_sizes_are_refused_from_bit_lengths(argv, error):
+    started = time.perf_counter()
+    proc = _run_cli_process(argv.split(), timeout=60)
+    assert time.perf_counter() - started < 2
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert json.loads(proc.stdout) == {"status": "invalid-input", "payload": {"error": error}}
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_datetime():
+    # every CLI run pays for what importing the CLI loads; -S keeps the
+    # interpreter's site hooks, which may import anything, out of the count
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import critorbit.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 _ANY = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)

@@ -95,7 +95,12 @@ byte (key order, number formatting, an answer) fails here:
 - recorded before ``bound`` refused a d^(n-1) beyond the float range:
   ``bound --d 2 --n 1024 --c 1`` (2^1023 - 1 = 8.98846567431158e+307, at
   the last n whose bound is finite at d = 2, c = 1) and ``bound --d 2 --n
-  1000 --c 3``.
+  1000 --c 3``;
+- recorded before ``rho`` sized a_n and ``density`` sized G from bit
+  lengths: ``rho --d 2 --c 1 --n 40``, ``rho --d 2 --c 1 --n 21`` (the first
+  refused n, an estimate of 2097152 digits against the guard 2000000) and
+  ``rho --d 3 --c 5/7 --n 30``, and ``density`` refusing d = 2, n = 16 by
+  the degree guard, by its limit first, and by d = 1 before its limit.
 
 Together the cases cover all 18 subcommands, exit codes 0, 1 and 2,
 ``density --csv``, ``certify --check``, rational parameters, root splitting
@@ -497,6 +502,22 @@ CASES = [
      "6569b393b92d296e1ae8101e29c191a37a834ce42a1415756b253101817edd68"),
     ("bound-large-scale", "bound --d 2 --n 1000 --c 3", 0,
      "0b24754f3fd949ed59cdd944d139cf2fde7102f7a3abccd0fa2c1cbed6e200c2"),
+    # refusals that must keep their bytes once sizes come from bit lengths:
+    # rho's digit estimate (the first refused n at d = 2, c = 1, where it is
+    # 2^20 * 2 = 2097152 against the guard 2000000), and the order of
+    # density's input checks around f^n(0)'s degree guard
+    ("rho-digit-estimate", "rho --d 2 --c 1 --n 40", 2,
+     "307c8a112627838493f2ac93e85a30e227bd01b04bd28d569f1ab3be399f8daf"),
+    ("rho-first-refused-n", "rho --d 2 --c 1 --n 21", 2,
+     "f87d087603b567e6c0731a007b2970c8494d9734c48c53a85ac8bb1cbff14db5"),
+    ("rho-rational-estimate", "rho --d 3 --c 5/7 --n 30", 2,
+     "465eb55287b70a82d78b70e277db5cbdebec7e9b453e329c54335cc18365df4d"),
+    ("density-degree-refused", "density --d 2 --n 16 --limit 100", 2,
+     "c297dccf3085f380e3c673a4b96aabfc5a8eb52eebf0dd6ec87726fe64609312"),
+    ("density-limit-before-degree", "density --d 2 --n 16 --limit 1", 2,
+     "8c4c3240f795eb0997420d69bec354da8f6a5bc3db38ef2e3d2bea07e0274de3"),
+    ("density-degree-args-first", "density --d 1 --n 3 --limit 1", 2,
+     "75e13ae80bac73080b056438a7749e86b7b0af3b3def2a3008a883e7445c02c8"),
 ]
 
 

@@ -44,6 +44,10 @@ _SIEVE_LIMIT = 10**7  # sieving beyond this is out of scope
 _DEFAULT_TRIAL_LIMIT = 10**6  # factoring's trial division bound
 _TRIAL_PRIME_COUNT = 78_498  # pi(_DEFAULT_TRIAL_LIMIT): the primes it tries
 _DEFAULT_RHO_BUDGET = 200_000  # Brent rho iterations per factoring
+# defaults of two more layers, named here so that the CLI sets its flags'
+# defaults without loading those layers
+_DEFAULT_PRIME_SCAN_BUDGET = 100_000  # bounds: primes a certificate's scan tests
+_DEFAULT_VALUATION_CAP = 1 << 16  # orbit: the largest valuation computed exactly
 
 
 def set_random_seed(seed: int | None = None) -> None:

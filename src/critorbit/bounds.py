@@ -23,6 +23,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import (
+    _DEFAULT_PRIME_SCAN_BUDGET,
     _DEFAULT_RHO_BUDGET,
     _DEFAULT_TRIAL_LIMIT,
     _TRIAL_PRIME_COUNT,
@@ -42,7 +43,6 @@ from .orbit import (
 )
 
 _FACTOR_DIGIT_GUARD = 100_000
-_DEFAULT_PRIME_SCAN_BUDGET = 100_000
 _FLOAT_MAX = int(sys.float_info.max)
 
 

@@ -24,38 +24,12 @@ import json
 import os
 import sys
 
-from . import __version__
-from .arith import _DEFAULT_RHO_BUDGET, Residue, factorize, set_random_seed
-from .bounds import (
-    _DEFAULT_PRIME_SCAN_BUDGET,
-    MaximalityCertificate,
-    count_primitive_primes,
-    maximality_certificate,
-    rho_upper_bound,
-    verify_certificate,
-)
-from .constructor import DivisibilitySpec, build_parameter, verify_spec
-from .density import density_report, density_scan_rows
+# each layer loads on its first use, inside the handler that calls it
+from . import __version__, arith, bounds, constructor, density, gleason, lifting, orbit, pcf
 from .errors import (
     HenselHypothesisError,
     InternalConsistencyError,
     SearchExhaustedError,
-)
-from .gleason import discriminant, gleason_poly, roots_mod_p
-from .lifting import adjust_power, hensel_lift
-from .orbit import (
-    _DEFAULT_VALUATION_CAP,
-    RationalParam,
-    is_primitive_divisor,
-    iterate_valuation,
-    period_type_mod,
-)
-from .pcf import (
-    check_condition_star,
-    check_condition_star_star,
-    condition_star_star_failures,
-    correspondence_report,
-    enumerate_pcf,
 )
 
 OK = "ok"
@@ -77,8 +51,8 @@ def _parse_int(text: str) -> int:
 
 
 def _cmd_orbit(args) -> tuple[str, dict]:
-    c = Residue.reduce(_parse_int(args.c), args.p, args.t)
-    ptype, entry = period_type_mod(args.d, c)
+    c = arith.Residue.reduce(_parse_int(args.c), args.p, args.t)
+    ptype, entry = orbit.period_type_mod(args.d, c)
     return OK, {
         "d": args.d,
         "p": str(args.p),
@@ -90,8 +64,8 @@ def _cmd_orbit(args) -> tuple[str, dict]:
 
 
 def _cmd_valuation(args) -> tuple[str, dict]:
-    c = RationalParam.from_string(args.c)
-    nu = iterate_valuation(args.d, c, args.n, args.p, cap=args.cap)
+    c = orbit.RationalParam.from_string(args.c)
+    nu = orbit.iterate_valuation(args.d, c, args.n, args.p, cap=args.cap)
     return OK, {
         "d": args.d,
         "n": args.n,
@@ -103,8 +77,8 @@ def _cmd_valuation(args) -> tuple[str, dict]:
 
 
 def _cmd_primitive(args) -> tuple[str, dict]:
-    c = RationalParam.from_string(args.c)
-    primitive, valuation = is_primitive_divisor(args.d, c, args.n, args.p)
+    c = orbit.RationalParam.from_string(args.c)
+    primitive, valuation = orbit.is_primitive_divisor(args.d, c, args.n, args.p)
     return OK, {
         "d": args.d,
         "n": args.n,
@@ -116,7 +90,7 @@ def _cmd_primitive(args) -> tuple[str, dict]:
 
 
 def _cmd_gleason(args) -> tuple[str, dict]:
-    poly = gleason_poly(args.d, args.n)
+    poly = gleason.gleason_poly(args.d, args.n)
     return OK, {
         "d": args.d,
         "n": args.n,
@@ -126,17 +100,17 @@ def _cmd_gleason(args) -> tuple[str, dict]:
 
 
 def _cmd_disc(args) -> tuple[str, dict]:
-    poly = gleason_poly(args.d, args.n)
+    poly = gleason.gleason_poly(args.d, args.n)
     return OK, {
         "d": args.d,
         "n": args.n,
-        "discriminant": str(discriminant(poly)),
+        "discriminant": str(gleason.discriminant(poly)),
     }
 
 
 def _cmd_roots(args) -> tuple[str, dict]:
-    poly = gleason_poly(args.d, args.n)
-    roots = roots_mod_p(poly, args.p)
+    poly = gleason.gleason_poly(args.d, args.n)
+    roots = gleason.roots_mod_p(poly, args.p)
     return OK, {
         "d": args.d,
         "n": args.n,
@@ -146,14 +120,14 @@ def _cmd_roots(args) -> tuple[str, dict]:
 
 
 def _cmd_lift(args) -> tuple[str, dict]:
-    result = hensel_lift(args.d, args.n, args.p, _parse_int(args.c0), args.precision)
+    result = lifting.hensel_lift(args.d, args.n, args.p, _parse_int(args.c0), args.precision)
     return OK, result.to_json_dict()
 
 
 def _cmd_adjust(args) -> tuple[str, dict]:
     precision = args.r + 2 if args.precision is None else args.precision
-    lift = hensel_lift(args.d, args.n, args.p, _parse_int(args.c0), precision)
-    c_r = adjust_power(lift, args.r)
+    lift = lifting.hensel_lift(args.d, args.n, args.p, _parse_int(args.c0), precision)
+    c_r = lifting.adjust_power(lift, args.r)
     return OK, {
         "d": args.d,
         "n": args.n,
@@ -170,15 +144,15 @@ def _read_json(path: str):
 
 
 def _cmd_construct(args) -> tuple[str, dict]:
-    spec = DivisibilitySpec.from_json_dict(_read_json(args.spec))
-    report = build_parameter(spec)
+    spec = constructor.DivisibilitySpec.from_json_dict(_read_json(args.spec))
+    report = constructor.build_parameter(spec)
     status = OK if report.all_verified else VERIFICATION_FAILED
     return status, report.to_json_dict()
 
 
 def _cmd_verify(args) -> tuple[str, dict]:
-    spec = DivisibilitySpec.from_json_dict(_read_json(args.spec))
-    checks = verify_spec(args.d, _parse_int(args.c), spec)
+    spec = constructor.DivisibilitySpec.from_json_dict(_read_json(args.spec))
+    checks = constructor.verify_spec(args.d, _parse_int(args.c), spec)
     payload = {
         "d": args.d,
         "c": args.c,
@@ -189,15 +163,15 @@ def _cmd_verify(args) -> tuple[str, dict]:
 
 
 def _cmd_pcf(args) -> tuple[str, dict]:
-    census = enumerate_pcf(args.d, args.p)
+    census = pcf.enumerate_pcf(args.d, args.p)
     doc = census.to_json_dict()
-    doc["condition_star_star"] = check_condition_star_star(args.d, args.p)
+    doc["condition_star_star"] = pcf.check_condition_star_star(args.d, args.p)
     return OK, doc
 
 
 def _cmd_condition(args) -> tuple[str, dict]:
     if args.n is not None:
-        ok, witnesses = check_condition_star(args.d, args.p, args.n)
+        ok, witnesses = pcf.check_condition_star(args.d, args.p, args.n)
         return OK, {
             "d": args.d,
             "p": str(args.p),
@@ -205,7 +179,7 @@ def _cmd_condition(args) -> tuple[str, dict]:
             "condition_star": ok,
             "failures": [str(w) for w in witnesses],
         }
-    failures = condition_star_star_failures(args.d, args.p, max_period=args.max_period)
+    failures = pcf.condition_star_star_failures(args.d, args.p, max_period=args.max_period)
     return OK, {
         "d": args.d,
         "p": str(args.p),
@@ -216,7 +190,7 @@ def _cmd_condition(args) -> tuple[str, dict]:
 
 
 def _cmd_correspond(args) -> tuple[str, dict]:
-    report = correspondence_report(args.d, args.p, args.precision)
+    report = pcf.correspondence_report(args.d, args.p, args.precision)
     return OK, report.to_json_dict()
 
 
@@ -224,21 +198,21 @@ def _cmd_density(args) -> tuple[str, dict | str]:
     if args.threads < 1:
         raise ValueError("need jobs >= 1 worker processes")
     if args.csv:
-        rows = density_scan_rows(args.d, args.n, args.limit)
+        rows = density.density_scan_rows(args.d, args.n, args.limit)
         return OK, "p,has_root\n" + "".join(f"{p},{int(flag)}\n" for p, flag in rows)
-    report = density_report(args.d, args.n, args.limit, jobs=args.threads)
+    report = density.density_report(args.d, args.n, args.limit, jobs=args.threads)
     return OK, report.to_json_dict()
 
 
 def _cmd_bound(args) -> tuple[str, dict]:
-    c = RationalParam.from_string(args.c)
-    value = rho_upper_bound(args.d, args.n, c)
+    c = orbit.RationalParam.from_string(args.c)
+    value = bounds.rho_upper_bound(args.d, args.n, c)
     return OK, {"d": args.d, "n": args.n, "c": str(c), "upper_bound": value}
 
 
 def _cmd_rho(args) -> tuple[str, dict]:
-    c = RationalParam.from_string(args.c)
-    count, complete = count_primitive_primes(
+    c = orbit.RationalParam.from_string(args.c)
+    count, complete = bounds.count_primitive_primes(
         args.d, c, args.n, rho_iterations=args.budget
     )
     return OK, {
@@ -252,8 +226,8 @@ def _cmd_rho(args) -> tuple[str, dict]:
 
 def _cmd_certify(args) -> tuple[str, dict]:
     if args.check:
-        cert = MaximalityCertificate.from_json_dict(_read_json(args.check))
-        ok = verify_certificate(cert)
+        cert = bounds.MaximalityCertificate.from_json_dict(_read_json(args.check))
+        ok = bounds.verify_certificate(cert)
         return (OK if ok else VERIFICATION_FAILED), {
             "checked": cert.to_json_dict(),
             "reproduced": ok,
@@ -266,7 +240,7 @@ def _cmd_certify(args) -> tuple[str, dict]:
             witnesses = {int(n): int(p) for n, p in _read_json(args.witnesses).items()}
         except (AttributeError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed witnesses file: {exc}") from exc
-    cert = maximality_certificate(
+    cert = bounds.maximality_certificate(
         args.d, _parse_int(args.c), args.m, witnesses=witnesses,
         scan_budget=args.budget,
     )
@@ -274,7 +248,7 @@ def _cmd_certify(args) -> tuple[str, dict]:
 
 
 def _cmd_factor(args) -> tuple[str, dict]:
-    fact = factorize(_parse_int(args.x), rho_iterations=args.budget)
+    fact = arith.factorize(_parse_int(args.x), rho_iterations=args.budget)
     return OK, {
         "x": args.x,
         "factors": [{"p": str(p), "e": e} for p, e in fact.factors],
@@ -320,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = add("orbit", _cmd_orbit, "d p c", "period type of the critical orbit in Z/p^t")
     cmd.add_argument("--t", type=int, default=1)
     cmd = add("valuation", _cmd_valuation, "d c n p", "nu_p of the n-th orbit numerator")
-    cmd.add_argument("--cap", type=int, default=_DEFAULT_VALUATION_CAP)
+    cmd.add_argument("--cap", type=int, default=arith._DEFAULT_VALUATION_CAP)
     add("primitive", _cmd_primitive, "d c n p", "primitive-divisor test with valuation")
     add("gleason", _cmd_gleason, "d n", "period-n Gleason polynomial coefficients")
     add("disc", _cmd_disc, "d n", "discriminant of the period-n Gleason polynomial")
@@ -343,18 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--threads", type=int, default=1)
     add("bound", _cmd_bound, "d n c", "upper bound on the primitive-prime count")
     cmd = add("rho", _cmd_rho, "d c n", "count primitive primes by factoring a_n")
-    cmd.add_argument("--budget", type=int, default=_DEFAULT_RHO_BUDGET)
+    cmd.add_argument("--budget", type=int, default=arith._DEFAULT_RHO_BUDGET)
 
     cmd = add("certify", _cmd_certify, "", "Galois-maximality witness certificate")
     cmd.add_argument("--d", type=int, default=None)
     cmd.add_argument("--c", default=None)
     cmd.add_argument("--m", type=int, default=None)
     cmd.add_argument("--witnesses", default=None, help="JSON map iterate -> prime")
-    cmd.add_argument("--budget", type=int, default=_DEFAULT_PRIME_SCAN_BUDGET)
+    cmd.add_argument("--budget", type=int, default=arith._DEFAULT_PRIME_SCAN_BUDGET)
     cmd.add_argument("--check", default=None, help="re-verify a certificate JSON file")
 
     cmd = add("factor", _cmd_factor, "x", "bounded integer factorization")
-    cmd.add_argument("--budget", type=int, default=_DEFAULT_RHO_BUDGET)
+    cmd.add_argument("--budget", type=int, default=arith._DEFAULT_RHO_BUDGET)
     return parser
 
 
@@ -364,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
-        set_random_seed(args.seed)  # no --seed: the default, whatever ran before
+        arith.set_random_seed(args.seed)  # no --seed: the default, whatever ran before
         outcome = args.handler(args)
     except HenselHypothesisError as exc:
         outcome = (

@@ -28,8 +28,8 @@ from .errors import (
 )
 from .gleason import (
     _GLEASON_FEASIBLE_DEGREE,
+    _degree_exceeds,
     discriminant_mod_p,
-    gleason_degree,
     gleason_poly,
     roots_mod_p,
 )
@@ -164,7 +164,7 @@ def find_base(d: int, n: int, p: int) -> int | None:
 
 def _gleason_roots(d: int, n: int, p: int) -> Iterator[int]:
     # a generator, so the size check runs after the scan has checked p
-    if gleason_degree(d, n) > _GLEASON_FEASIBLE_DEGREE:
+    if _degree_exceeds(d, n, _GLEASON_FEASIBLE_DEGREE):
         raise ValueError(
             f"cannot search bases: p = {p} is too large to scan and the "
             f"period-{n} Gleason polynomial is too large to build"
@@ -179,7 +179,7 @@ def _admissible_base(d: int, n: int, p: int) -> int:
     A screened G is squarefree mod p, and at a base of exact period n,
     (f^n(0))' is G' times a unit, so only an unscreened base needs the
     simple-root walk."""
-    screened = gleason_degree(d, n) <= _DISC_SCREEN_DEGREE
+    screened = not _degree_exceeds(d, n, _DISC_SCREEN_DEGREE)
     if screened and discriminant_mod_p(gleason_poly(d, n), p) == 0:
         raise DiscObstructionError(
             f"pinned prime {p} divides disc of the period-{n} Gleason "

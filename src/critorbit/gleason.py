@@ -174,6 +174,13 @@ def gleason_degree(d: int, n: int) -> int:
     return d ** (n - 1) - sum(gleason_degree(d, m) for m in _proper_divisors(n))
 
 
+def _degree_exceeds(d: int, n: int, limit: int) -> bool:
+    """deg G_{d,n} > limit.  The proper divisors' G take at most half of
+    d^(n-1), so deg G_{d,n} >= d^(n-1)/2, and bit lengths decide it unbuilt
+    where d^(n-1) reaches 2^(bits(limit) + 1)."""
+    return (n - 1) * (d.bit_length() - 1) > limit.bit_length() or gleason_degree(d, n) > limit
+
+
 def _proper_divisors(n: int) -> set[int]:
     """The divisors of n >= 1 below n, found in pairs (k, n/k) with k <= sqrt(n)."""
     return {m for k in range(1, isqrt(n) + 1) if n % k == 0 for m in (k, n // k)} - {n}

@@ -36,13 +36,12 @@ from fractions import Fraction
 from math import gcd, inf
 from typing import NamedTuple
 
-from .arith import Residue, _guard_power, _record, is_prime, val_p
+from .arith import _DEFAULT_VALUATION_CAP, Residue, _guard_power, _record, is_prime, val_p
 from .errors import SearchExhaustedError, ZeroIterateError
 
 # the detector serves F_p and level-1 walks: it switches to Brent's constant
 # memory cycle detection after this many stored points
 _HASH_ORBIT_LIMIT = 10**6
-_DEFAULT_VALUATION_CAP = 1 << 16
 _DEFAULT_DIGIT_GUARD = 2_000_000
 # the first-zero walk mod p gives up after this many steps with neither a
 # zero nor a closed cycle (2 s at d = 2 on a 2-vCPU host); a typical orbit

@@ -15,6 +15,7 @@ from critorbit.cli import build_parser, main
 from oracles import floyd_first_zero
 from test_acceptance import C29
 from test_bounds import published_valid_entries
+from test_package import PUBLIC
 
 
 def run_cli(capsys, *argv):
@@ -630,24 +631,72 @@ def test_oversized_or_invalid_input_is_refused_at_once(argv, error):
     ("density --d 3 --n 1000 --limit 100", "iterate polynomial degree 3^999 exceeds guard 16384"),
     ("density --d 3 --n 1000000007 --limit 100",
      "iterate polynomial degree 3^1000000006 exceeds guard 16384"),
+    # construct took deg G_{2,1000000007} exactly, twice, from 2^1000000006:
+    # 6.3 s to this refusal
+    ("construct --spec {spec}",
+     "cannot search bases: p = 1000000009 is too large to scan and the "
+     "period-1000000007 Gleason polynomial is too large to build"),
 ])
-def test_sizes_are_refused_from_bit_lengths(argv, error):
+def test_sizes_are_refused_from_bit_lengths(argv, error, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"d": 2, "constraints": [{"n": 1000000007, "primes": [{"p": "1000000009", "k": 1}]}]}
+    ))
     started = time.perf_counter()
-    proc = _run_cli_process(argv.split(), timeout=60)
+    proc = _run_cli_process(argv.format(spec=spec).split(), timeout=60)
     assert time.perf_counter() - started < 2
     assert (proc.returncode, proc.stderr) == (2, b"")
     assert json.loads(proc.stdout) == {"status": "invalid-input", "payload": {"error": error}}
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_datetime():
-    # every CLI run pays for what importing the CLI loads; -S keeps the
-    # interpreter's site hooks, which may import anything, out of the count
+    # every CLI run pays for what importing the CLI and its layers loads; the
+    # layers load on first use, so vars() loads each one before the count;
+    # -S keeps the interpreter's site hooks, which may import anything, out of it
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import critorbit.cli; "
+            f"[vars(getattr(critorbit, layer)) for layer in {tuple(PUBLIC)}]; "
             "print(sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+# records the package modules whose code runs, .pyc or not, then runs the CLI
+_EXEC_AUDIT = """
+import os, sys
+ran = set()
+def hook(event, args):
+    if event == "exec" and hasattr(args[0], "co_filename"):
+        path, name = os.path.split(os.path.splitext(args[0].co_filename)[0])
+        if os.path.basename(path) == "critorbit":
+            ran.add(name)
+sys.addaudithook(hook)
+sys.path.insert(0, sys.argv[1])
+import critorbit.cli
+status = critorbit.cli.main(sys.argv[2:])
+print(sorted(ran), status, file=sys.stderr)
+"""
+_CLI_CORE = ["__init__", "arith", "cli", "errors"]
+
+
+@pytest.mark.parametrize("argv,ran", [
+    ("factor --x 91", _CLI_CORE),
+    ("gleason --d 2 --n 3", _CLI_CORE + ["gleason"]),
+    ("pcf --d 2 --p 7", _CLI_CORE + ["lifting", "orbit", "pcf"]),
+    ("construct --spec {spec}",
+     _CLI_CORE + ["constructor", "gleason", "lifting", "orbit", "pcf"]),
+])
+def test_a_subcommand_runs_only_the_layers_it_calls(argv, ran, tmp_path):
+    # every start compiles each module it runs where no .pyc is written
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"d": 2, "constraints": [{"n": 3, "primes": [{"p": "7", "k": 2}]}]}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _EXEC_AUDIT, src, *argv.format(spec=spec).split()],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stderr == f"{sorted(ran)} 0\n"
 
 
 _ANY = st.recursive(
